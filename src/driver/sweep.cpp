@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "baseline/gptp.hpp"
@@ -187,6 +189,30 @@ is_transient(const std::exception& e)
     return dynamic_cast<const support::UserError*>(&e) == nullptr;
 }
 
+/**
+ * Refuse a compiled row whose latencies are garbage: the makespan and the
+ * baseline latency factors must be finite and non-negative. The message
+ * starts with the violated rule's name. A std::runtime_error, not a
+ * UserError, so the failed row is never cached: it is a compiler defect,
+ * not a property of the cell.
+ */
+void
+check_latencies(const SweepRow& row)
+{
+    const auto bad = [](double v) { return !std::isfinite(v) || v < 0.0; };
+    const auto fail = [&row](const char* rule, double v) {
+        throw std::runtime_error(support::strprintf(
+            "%s: %g is not a finite non-negative latency (%s)", rule, v,
+            row.cell.label().c_str()));
+    };
+    if (bad(row.schedule.makespan))
+        fail("makespan-range", row.schedule.makespan);
+    if (row.factors && bad(row.factors->lat_dec_factor))
+        fail("latency-factor-range", row.factors->lat_dec_factor);
+    if (row.gptp_factors && bad(row.gptp_factors->lat_dec_factor))
+        fail("gptp-latency-factor-range", row.gptp_factors->lat_dec_factor);
+}
+
 /** Throw the same UserErrors prepare_cell would for a malformed cell
  * geometry (non-positive counts, shape/node-count mismatch). */
 void
@@ -310,6 +336,7 @@ run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
             gp.total_comms, gp.makespan, compiled);
     }
 
+    check_latencies(row);
     row.ok = true;
     row.compile_seconds =
         std::chrono::duration<double>(clock::now() - t0).count();

@@ -233,7 +233,10 @@ SweepRow run_cell(const SweepCell& cell);
  * Compile every cell on a thread pool. Rows are returned in cell order
  * and are independent of opts.num_threads. A cell whose compilation
  * throws yields a row with ok == false and the exception text in
- * `error` (unless opts.rethrow_errors).
+ * `error` (unless opts.rethrow_errors). So does a cell whose makespan or
+ * baseline latency factor comes out non-finite or negative: its `error`
+ * starts with the violated rule ("makespan-range", ...), and the row is
+ * never inserted into opts.store.
  *
  * Circuit generation, interaction-graph construction, and the OEE
  * mapping are memoized across cells that share them (option-set,

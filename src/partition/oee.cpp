@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "partition/mappers.hpp"
 #include "support/log.hpp"
@@ -12,8 +13,8 @@ namespace {
 
 /**
  * Incrementally maintained connectivity table: conn[q][p] = total edge
- * weight between qubit q and partition p. Makes pairwise exchange gains
- * O(1) and per-swap updates O(deg).
+ * weight between qubit q and partition p. Makes the partition terms of an
+ * exchange gain O(1) and per-swap updates O(deg).
  */
 class ConnTable
 {
@@ -42,18 +43,6 @@ class ConnTable
         return conn_[static_cast<std::size_t>(q) *
                          static_cast<std::size_t>(parts_) +
                      static_cast<std::size_t>(p)];
-    }
-
-    /** Gain (cut decrease) of swapping partitions of a and b. */
-    long
-    swap_gain(const std::vector<NodeId>& part, QubitId a, QubitId b) const
-    {
-        const NodeId pa = part[static_cast<std::size_t>(a)];
-        const NodeId pb = part[static_cast<std::size_t>(b)];
-        // The direct a-b edge stays cut after the swap; it appears in both
-        // D terms and must be subtracted twice.
-        return at(a, pb) - at(a, pa) + at(b, pa) - at(b, pb) -
-               2 * g_.weight(a, b);
     }
 
     /** Record that qubit @p q moved from partition @p from to @p to. */
@@ -132,33 +121,57 @@ oee_refine(const InteractionGraph& g, std::vector<NodeId> part,
             ? opts.max_exchanges_per_pass
             : std::min(std::max(1, n / 2), 64);
 
+    const auto idx = [](QubitId q) { return static_cast<std::size_t>(q); };
+    // Scatter of the current a's adjacency row: w_a[b] = weight(a, b).
+    std::vector<long> w_a(idx(n), 0);
+
     for (int pass = 0; pass < opts.max_passes; ++pass) {
         std::vector<NodeId> work = part;
         ConnTable conn(g, work, num_nodes);
-        std::vector<char> locked(static_cast<std::size_t>(n), 0);
+        std::vector<QubitId> unlocked(idx(n)); // ascending
+        std::iota(unlocked.begin(), unlocked.end(), 0);
         std::vector<std::pair<QubitId, QubitId>> sequence;
         std::vector<long> cumulative;
         long running = 0;
 
         for (int step = 0; step < per_pass; ++step) {
+            // gain(a, b) = at(a,pb) - at(a,pa) + at(b,pa) - at(b,pb)
+            //              - 2 w(a,b),
+            // the direct edge staying cut. As w(a,b) >= 0 the first four
+            // terms bound the gain; a pair whose bound is <= best_gain
+            // cannot win the strict `>` of the (a, b)-ordered scan (see
+            // oee.hpp).
             long best_gain = std::numeric_limits<long>::min();
             QubitId best_a = kInvalidId, best_b = kInvalidId;
-            for (QubitId a = 0; a < n; ++a) {
-                if (locked[static_cast<std::size_t>(a)])
-                    continue;
-                for (QubitId b = a + 1; b < n; ++b) {
-                    if (locked[static_cast<std::size_t>(b)])
+            for (std::size_t i = 0; i < unlocked.size(); ++i) {
+                const QubitId a = unlocked[i];
+                const NodeId pa = work[idx(a)];
+                const long stay = conn.at(a, pa);
+                bool scattered = false;
+                for (std::size_t j = i + 1; j < unlocked.size(); ++j) {
+                    const QubitId b = unlocked[j];
+                    const NodeId pb = work[idx(b)];
+                    if (pb == pa)
                         continue;
-                    if (work[static_cast<std::size_t>(a)] ==
-                        work[static_cast<std::size_t>(b)])
+                    const long bound = conn.at(a, pb) - stay +
+                                       conn.at(b, pa) - conn.at(b, pb);
+                    if (bound <= best_gain)
                         continue;
-                    const long gain = conn.swap_gain(work, a, b);
+                    if (!scattered) {
+                        for (const auto& [v, w] : g.neighbors(a))
+                            w_a[idx(v)] = w;
+                        scattered = true;
+                    }
+                    const long gain = bound - 2 * w_a[idx(b)];
                     if (gain > best_gain) {
                         best_gain = gain;
                         best_a = a;
                         best_b = b;
                     }
                 }
+                if (scattered)
+                    for (const auto& [v, w] : g.neighbors(a))
+                        w_a[idx(v)] = 0;
             }
             if (best_a == kInvalidId)
                 break; // nothing left to exchange
@@ -168,8 +181,8 @@ oee_refine(const InteractionGraph& g, std::vector<NodeId> part,
             work[static_cast<std::size_t>(best_b)] = pa;
             conn.moved(best_a, pa, pb);
             conn.moved(best_b, pb, pa);
-            locked[static_cast<std::size_t>(best_a)] = 1;
-            locked[static_cast<std::size_t>(best_b)] = 1;
+            std::erase(unlocked, best_a);
+            std::erase(unlocked, best_b);
             running += best_gain;
             sequence.emplace_back(best_a, best_b);
             cumulative.push_back(running);

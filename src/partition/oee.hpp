@@ -10,6 +10,21 @@
  * hill-climbing style — locks the pair, and at pass end rolls back to the
  * best prefix of the exchange sequence. Passes repeat until no pass
  * improves the cut.
+ *
+ * Exactness contract: each step takes the unlocked cross-partition pair
+ * (a, b), a < b, of largest gain; pairs are compared in (a ascending,
+ * then b ascending) order with a strict `>`, so the lowest (a, b) wins
+ * ties. The search prunes with an upper bound on the gain (Kernighan–Lin
+ * 1970 style): the gain without its -2·w(a,b) term, which is valid
+ * because edge weights are >= 0. A pair is skipped only when its bound
+ * is <= the best gain so far, so the chosen pair — and every partition —
+ * equals that of the full scan.
+ *
+ * Per-step cost, for n qubits: one O(1) bound test per unlocked pair,
+ * O(n²) in all, plus an O(deg(a)) scatter of a's adjacency row for each
+ * a with a pair that passes the bound, which makes each w(a,b) an O(1)
+ * read. Each exchange then updates the connectivity table in
+ * O(deg(a) + deg(b)).
  */
 #pragma once
 

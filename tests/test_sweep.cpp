@@ -7,11 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "cache/key.hpp"
+#include "cache/store.hpp"
+#include "circuits/qasm_source.hpp"
 #include "driver/sweep.hpp"
+#include "qir/qasm.hpp"
 #include "support/log.hpp"
+#include "verify/random_circuit.hpp"
 
 namespace {
 
@@ -695,6 +705,65 @@ TEST(Sweep, GptpBaselineFactorsPopulateOnRequest)
     SweepCell plain = cell;
     plain.with_gptp = false;
     EXPECT_FALSE(driver::run_cell(plain).gptp_factors.has_value());
+}
+
+
+TEST(Sweep, GarbageLatencyRowsFailAndAreNotCached)
+{
+    // The seed-57 fuzz circuit (bench_fuzz --seeds 57 --qubits 24
+    // --depth 32 --nodes 6 --ccx) has scheduled to an infinite makespan
+    // on all_to_all and ring. Whatever the scheduler does with it, no
+    // row may report ok with a garbage latency, and a refused row must
+    // not be served from the cache later.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("autocomm-test-seed57-" +
+                          std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    verify::RandomCircuitOptions ropts;
+    ropts.num_qubits = 24;
+    ropts.depth = 32;
+    ropts.allow_ccx = true;
+    ropts.seed = 57;
+    const fs::path qasm = dir / "fuzz-seed57.qasm";
+    std::ofstream(qasm, std::ios::binary)
+        << qir::to_qasm(verify::random_circuit(ropts));
+
+    std::vector<SweepCell> cells;
+    for (const hw::Topology t : {hw::Topology::AllToAll, hw::Topology::Ring,
+                                 hw::Topology::Grid}) {
+        SweepCell cell;
+        cell.spec =
+            circuits::spec_for(circuits::qasm_family(qasm.string()), 0, 6);
+        cell.topology = t;
+        cells.push_back(cell);
+    }
+    {
+        cache::ResultStore store((dir / "store").string());
+        SweepOptions opts;
+        opts.store = &store;
+        const std::vector<SweepRow> rows = driver::run_sweep(cells, opts);
+        ASSERT_EQ(rows.size(), cells.size());
+        std::size_t ok_rows = 0;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            SCOPED_TRACE(cells[i].label());
+            if (rows[i].ok) {
+                ++ok_rows;
+                EXPECT_TRUE(std::isfinite(rows[i].schedule.makespan));
+                EXPECT_GE(rows[i].schedule.makespan, 0.0);
+            } else {
+                EXPECT_EQ(rows[i].error.rfind("makespan-range: ", 0), 0u)
+                    << rows[i].error;
+                EXPECT_FALSE(store
+                                 .lookup(cache::cell_key(cells[i]),
+                                         cells[i])
+                                 .has_value());
+            }
+        }
+        EXPECT_EQ(store.stats().inserted, ok_rows);
+    }
+    fs::remove_all(dir);
 }
 
 } // namespace
