@@ -59,6 +59,9 @@ struct AggregateOptions
      * sessions than this.
      */
     int comm_capacity = 2;
+
+    friend bool operator==(const AggregateOptions&,
+                           const AggregateOptions&) = default;
 };
 
 /**

@@ -32,6 +32,8 @@ struct AssignOptions
      * segments (the Diadamo-style "Cat-Comm only" arm of Fig. 17b).
      */
     bool allow_tp = true;
+
+    friend bool operator==(const AssignOptions&, const AssignOptions&) = default;
 };
 
 /**

@@ -30,9 +30,11 @@ struct RelativeFactors
 RelativeFactors relative_factors(const pass::CompileResult& baseline,
                                  const pass::CompileResult& autocomm);
 
-/** Same, from a baseline's raw comm count and makespan (e.g. GP-TP). */
+/** Same, from each side's raw comm count and makespan (e.g. GP-TP
+ * against a sweep cell's planned-and-scheduled AutoComm result). */
 RelativeFactors relative_factors(std::size_t baseline_comms,
                                  double baseline_makespan,
-                                 const pass::CompileResult& autocomm);
+                                 std::size_t autocomm_comms,
+                                 double autocomm_makespan);
 
 } // namespace autocomm::baseline

@@ -289,10 +289,40 @@ machine_for(const circuits::BenchmarkSpec& spec, const std::string& shape,
     return m;
 }
 
-/** The compile half of run_cell, over prepared inputs. */
+/**
+ * What every cell of one plan group shares: the decomposed program and
+ * its stats, the qubit mapping and its remote-CX count, and the
+ * machine-independent plan — or the exception building it threw, which
+ * each cell rethrows once its own machine has validated, so a group's
+ * rows equal run_cell's on every error path.
+ */
+struct SharedPlan
+{
+    const qir::Circuit* circuit = nullptr;
+    qir::CircuitStats stats{};
+    const hw::QubitMapping* mapping = nullptr;
+    std::size_t remote_cx = 0;
+    /** Absent when every cell of the group is stats-only. */
+    std::optional<pass::CompilePlan> plan;
+    std::exception_ptr plan_error;
+};
+
+/** Build @p shared's plan for @p opts, capturing any failure. */
+void
+build_plan(SharedPlan& shared, const pass::CompileOptions& opts)
+{
+    try {
+        shared.plan = pass::plan(*shared.circuit, *shared.mapping,
+                                 opts.aggregate, opts.assign);
+    } catch (...) {
+        shared.plan_error = std::current_exception();
+    }
+}
+
+/** The per-machine half of run_cell: derive and validate the cell's
+ * machine, schedule the shared plan on it, run the baselines. */
 SweepRow
-run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
-                  const hw::QubitMapping& mapping)
+run_planned_cell(const SweepCell& cell, const SharedPlan& shared)
 {
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
@@ -306,10 +336,11 @@ run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
                     cell.link_fidelity, cell.target_fidelity,
                     cell.link_bandwidth, cell.link_fidelity_overrides,
                     cell.link_bandwidth_overrides);
+    const hw::QubitMapping& mapping = *shared.mapping;
     mapping.validate(machine);
 
-    row.stats = circuit.stats();
-    row.remote_cx = mapping.count_remote(circuit);
+    row.stats = shared.stats;
+    row.remote_cx = shared.remote_cx;
 
     if (cell.stats_only) {
         row.ok = true;
@@ -318,22 +349,26 @@ run_cell_prepared(const SweepCell& cell, const qir::Circuit& circuit,
         return row;
     }
 
-    const pass::CompileResult compiled =
-        pass::compile(circuit, mapping, machine, cell.options.opts);
-    row.metrics = compiled.metrics;
-    row.schedule = compiled.schedule;
+    if (shared.plan_error)
+        std::rethrow_exception(shared.plan_error);
+    row.metrics = shared.plan->metrics;
+    row.schedule = pass::schedule_plan(*shared.plan, mapping, machine,
+                                       cell.options.opts.schedule);
 
     if (cell.with_baseline) {
         const pass::CompileResult ferrari =
-            baseline::compile_ferrari(circuit, mapping, machine);
-        row.factors = baseline::relative_factors(ferrari, compiled);
+            baseline::compile_ferrari(*shared.circuit, mapping, machine);
+        row.factors = baseline::relative_factors(
+            ferrari.metrics.total_comms, ferrari.schedule.makespan,
+            row.metrics.total_comms, row.schedule.makespan);
     }
 
     if (cell.with_gptp) {
         const baseline::GptpResult gp =
-            baseline::compile_gptp(circuit, mapping, machine);
+            baseline::compile_gptp(*shared.circuit, mapping, machine);
         row.gptp_factors = baseline::relative_factors(
-            gp.total_comms, gp.makespan, compiled);
+            gp.total_comms, gp.makespan, row.metrics.total_comms,
+            row.schedule.makespan);
     }
 
     check_latencies(row);
@@ -386,7 +421,14 @@ run_cell(const SweepCell& cell)
                      cell.link_fidelity, cell.target_fidelity,
                      cell.link_bandwidth, cell.link_fidelity_overrides,
                      cell.link_bandwidth_overrides, cell.partitioner);
-    return run_cell_prepared(cell, p.circuit, p.mapping);
+    SharedPlan shared;
+    shared.circuit = &p.circuit;
+    shared.stats = p.circuit.stats();
+    shared.mapping = &p.mapping;
+    shared.remote_cx = p.mapping.count_remote(p.circuit);
+    if (!cell.stats_only)
+        build_plan(shared, cell.options.opts);
+    return run_planned_cell(cell, shared);
 }
 
 std::vector<SweepRow>
@@ -429,19 +471,26 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
     // served as a permanent error on every later run.
     std::vector<char> transient(cells.size(), 0);
 
-    // ---- Group cells by shared preparation work ----
-    // Cells differing only in topology, noise, or option set share the
-    // generated circuit, its interaction graph, AND — under OEE, which
-    // sees only the circuit and the node capacities — the qubit mapping;
-    // cells differing only in machine shape still share the circuit and
-    // graph. A topology/fidelity-aware partitioner reads the machine's
-    // routing table and link model, so its mapping groups additionally
-    // split on the topology and noise axes (see mapping_key below).
-    // Memoizing both levels turns an A-axis ablation grid's preparation
-    // cost from O(cells) into O(distinct machines).
+    // ---- Group cells by shared preparation and planning work ----
+    // Four levels: program -> mapping -> plan -> cell.
+    //  - Cells differing only in topology, noise, option set, or shape
+    //    share the generated circuit and its interaction graph.
+    //  - Under OEE, which sees only the circuit and the node capacities,
+    //    cells differing only in topology, noise, or option set also
+    //    share the qubit mapping. A topology/fidelity-aware partitioner
+    //    reads the machine's routing table and link model, so its
+    //    mapping groups additionally split on the topology and noise
+    //    axes (see mkey below).
+    //  - Aggregation, assignment, and reordering (pass::plan) read only
+    //    the circuit, the mapping, and their own options, so cells of a
+    //    mapping group with equal aggregate and assign options share one
+    //    plan across the topology, noise, and schedule-option axes.
+    // Memoizing these levels turns an ablation grid's preparation and
+    // planning cost from O(cells) into O(distinct plans).
     struct Program
     {
         qir::Circuit circuit;
+        qir::CircuitStats stats{};
         std::optional<partition::InteractionGraph> graph;
         std::string error;
         bool transient_error = false;
@@ -455,18 +504,26 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
          * machine by construction of the key). */
         const SweepCell* cell = nullptr;
         std::optional<hw::QubitMapping> map;
+        std::size_t remote_cx = 0;
         std::string error;
         bool transient_error = false;
+        std::vector<std::size_t> plans;
+    };
+    struct Plan
+    {
+        std::size_t mapping = 0;
+        /** Exemplar options: the group's aggregate and assign options
+         * (schedule options vary freely within the group). */
+        const pass::CompileOptions* opts = nullptr;
+        std::vector<std::size_t> cells;
     };
 
     std::map<std::string, std::size_t> program_index;
     std::map<std::string, std::size_t> mapping_index;
     std::vector<Program> programs;
     std::vector<Mapping> mappings;
+    std::vector<Plan> plans;
     std::vector<const SweepCell*> program_cell; // exemplar per program
-    // Cell -> mapping group; SIZE_MAX marks rows already failed
-    // geometry validation.
-    std::vector<std::size_t> cell_mapping(cells.size(), SIZE_MAX);
 
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const SweepCell& cell = cells[i];
@@ -539,28 +596,43 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                     : hw::parse_shape(cell.shape);
             mappings.push_back(std::move(mp));
         }
-        cell_mapping[i] = mit->second;
+        // A plan group is the mapping group plus the options pass::plan
+        // reads; defaulted operator== splits groups on any new field.
+        const pass::CompileOptions& copts = cell.options.opts;
+        std::vector<std::size_t>& mplans = mappings[mit->second].plans;
+        auto same_plan = [&](std::size_t g) {
+            return plans[g].opts->aggregate == copts.aggregate &&
+                   plans[g].opts->assign == copts.assign;
+        };
+        const auto git = std::find_if(mplans.begin(), mplans.end(), same_plan);
+        std::size_t g = plans.size();
+        if (git != mplans.end()) {
+            g = *git;
+        } else {
+            mplans.push_back(g);
+            plans.push_back({mit->second, &copts, {}});
+        }
+        plans[g].cells.push_back(i);
     }
 
     support::ThreadPool pool(opts.num_threads);
 
     // ---- Stage pipeline over the preparation DAG ----
-    // program -> its mapping groups -> their cells, with no barrier
-    // between stages: a cell starts compiling the moment its own mapping
-    // is ready, while unrelated programs are still decomposing and other
-    // groups are still partitioning. Warm cache-hit cells never enter
-    // the pipeline at all (cell_mapping stays SIZE_MAX). Rows are
-    // written by index, so the output order is the cell order no matter
-    // which worker finishes first — the result is byte-identical for
-    // every thread count.
+    // program -> its mapping groups -> their plan groups -> their cells,
+    // with no barrier between stages: a plan starts the moment its own
+    // mapping is ready, while unrelated programs are still decomposing
+    // and other groups are still partitioning. The program, mapping,
+    // and plan stages are memoized and stay unscoped; each plan task
+    // then compiles its group's cells inline, one CellScope each, and
+    // frees the plan, so at most one plan per worker is live. Warm
+    // cache-hit cells never enter the pipeline at all. Rows are written
+    // by index, so the output order is the cell order no matter which
+    // worker finishes first — the result is byte-identical for every
+    // thread count.
     std::vector<std::vector<std::size_t>> mappings_of_program(
         programs.size());
     for (std::size_t m = 0; m < mappings.size(); ++m)
         mappings_of_program[mappings[m].program].push_back(m);
-    std::vector<std::vector<std::size_t>> cells_of_mapping(mappings.size());
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        if (cell_mapping[i] != SIZE_MAX)
-            cells_of_mapping[cell_mapping[i]].push_back(i);
 
     // Completion tracking for dynamically submitted continuations, plus
     // per-slot exception capture so rethrow_errors callers get the same
@@ -593,13 +665,13 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         });
     };
 
-    // Stage 3: compile one cell against its memoized preparation.
-    auto cell_stage = [&](std::size_t i) {
-        const Mapping& mp = mappings[cell_mapping[i]];
-        // Everything this cell records — pass spans, EPR counters,
+    // Stage 4: compile one cell against its group's shared plan.
+    auto cell_stage = [&](std::size_t i, const Mapping& mp,
+                          const SharedPlan& shared) {
+        // Everything this cell records — schedule spans, EPR counters,
         // cache traffic — attributes to its label in the stats JSON's
-        // `cells` section. The memoized prepare stages above stay
-        // unscoped on purpose: their work is shared across cells.
+        // `cells` section. The memoized stages stay unscoped on purpose:
+        // their work is shared across cells.
         obs::CellScope scope(cells[i].label());
         obs::count("pipeline.cells_started");
         obs::Span span("cell", cells[i].label());
@@ -608,8 +680,7 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                 transient[i] = mp.transient_error;
                 throw support::UserError(mp.error);
             }
-            rows[i] = run_cell_prepared(
-                cells[i], programs[mp.program].circuit, *mp.map);
+            rows[i] = run_planned_cell(cells[i], shared);
             obs::count("pipeline.cells_completed");
         } catch (const std::exception& e) {
             if (opts.rethrow_errors) {
@@ -622,6 +693,27 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
             if (is_transient(e))
                 transient[i] = 1;
         }
+    };
+
+    // Stage 3: plan one group (unscoped), then run its cells inline.
+    auto plan_stage = [&](std::size_t g) {
+        const Plan& pl = plans[g];
+        const Mapping& mp = mappings[pl.mapping];
+        SharedPlan shared;
+        if (mp.error.empty()) {
+            const Program& prog = programs[mp.program];
+            shared.circuit = &prog.circuit;
+            shared.stats = prog.stats;
+            shared.mapping = &*mp.map;
+            shared.remote_cx = mp.remote_cx;
+            if (std::any_of(pl.cells.begin(), pl.cells.end(),
+                            [&](std::size_t i) {
+                                return !cells[i].stats_only;
+                            }))
+                build_plan(shared, *pl.opts);
+        }
+        for (std::size_t i : pl.cells)
+            cell_stage(i, mp, shared);
     };
 
     // Stage 2: partition one mapping group. OEE sees only the
@@ -651,6 +743,8 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                     mp.map = partition::map_with(mp.cell->partitioner,
                                                  *prog.graph, machine);
                 }
+                span.finish();
+                mp.remote_cx = mp.map->count_remote(prog.circuit);
                 ready = true;
             } catch (const std::exception& e) {
                 if (opts.rethrow_errors) {
@@ -663,8 +757,8 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
             }
         }
         if (ready)
-            for (std::size_t i : cells_of_mapping[m])
-                launch([&, i]() { cell_stage(i); });
+            for (std::size_t g : mp.plans)
+                launch([&, g]() { plan_stage(g); });
     };
 
     // Stage 1: generate + decompose one distinct program, build its
@@ -678,9 +772,13 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                     circuits::make_benchmark(program_cell[p]->spec,
                                              program_cell[p]->seed));
             }
-            obs::Span span("graph", program_cell[p]->spec.label());
-            programs[p].graph = partition::InteractionGraph::from_circuit(
-                programs[p].circuit);
+            {
+                obs::Span span("graph", program_cell[p]->spec.label());
+                programs[p].graph =
+                    partition::InteractionGraph::from_circuit(
+                        programs[p].circuit);
+            }
+            programs[p].stats = programs[p].circuit.stats();
             ready = true;
         } catch (const std::exception& e) {
             if (opts.rethrow_errors) {

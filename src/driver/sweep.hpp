@@ -202,8 +202,12 @@ struct SweepRow
     /** GP-TP-relative factors, when cell.with_gptp (Fig. 16). */
     std::optional<baseline::RelativeFactors> gptp_factors;
 
-    /** Wall-clock compile time. Timing is reported by the CLI but kept
-     * out of sweep_csv() so CSV output stays run-to-run deterministic. */
+    /** Wall-clock time of the cell's own work: machine derivation,
+     * validation, scheduling, and baselines. It excludes preparation
+     * and the shared plan (aggregate -> assign -> reorder), which
+     * run_sweep builds once per plan group. Timing is reported by the
+     * CLI but kept out of sweep_csv() so CSV output stays run-to-run
+     * deterministic. */
     double compile_seconds = 0.0;
 };
 
@@ -225,7 +229,8 @@ struct SweepOptions
 
 /**
  * Compile one cell: generate + decompose the circuit, derive the machine,
- * map with OEE, run the pipeline (and optionally the baseline).
+ * map with OEE, plan, then schedule the plan through the same per-cell
+ * path run_sweep uses (and optionally the baselines).
  */
 SweepRow run_cell(const SweepCell& cell);
 
@@ -238,10 +243,22 @@ SweepRow run_cell(const SweepCell& cell);
  * starts with the violated rule ("makespan-range", ...), and the row is
  * never inserted into opts.store.
  *
- * Circuit generation, interaction-graph construction, and the OEE
- * mapping are memoized across cells that share them (option-set,
- * topology, and noise axes re-partition nothing), so wide ablation
- * grids prepare each (family, qubits, seed, shape) once.
+ * Work is memoized on four levels, program -> mapping -> plan -> cell:
+ *  - program: circuit generation, decomposition, its stats, and its
+ *    interaction graph, once per (family, qubits, nodes, seed, QASM
+ *    file);
+ *  - mapping: the qubit mapping and its remote-CX count, once per
+ *    program and shape (OEE), or per program and derived machine
+ *    (topology/fidelity-aware partitioners); the option-set, topology,
+ *    and noise axes re-partition nothing under OEE;
+ *  - plan: pass::plan (aggregate -> assign -> reorder), once per
+ *    mapping and (AggregateOptions, AssignOptions) — shared across the
+ *    topology, noise, bandwidth, and schedule-option axes;
+ *  - cell: machine derivation, validation, pass::schedule_plan, and the
+ *    baselines.
+ * One task builds a plan, then runs its group's cells inline, so at most
+ * one plan per worker is live. Rows equal run_cell's, error rows
+ * included.
  */
 std::vector<SweepRow> run_sweep(const std::vector<SweepCell>& cells,
                                 const SweepOptions& opts = {});

@@ -9,7 +9,8 @@
  *    bounded newest-first payload samples);
  *  - flight-recorder ring rotation keeps the newest decision payloads
  *    while the per-verdict counts stay exact (counter-backed);
- *  - per-cell decision counts are identical at any sweep thread count
+ *  - per-cell decision counts, and the unscoped global bucket the shared
+ *    plan stage records into, are identical at any sweep thread count
  *    for the deterministic categories (everything except the
  *    speculation-only aggregate.spec / aggregate.merge "rescore");
  *  - one pinned-payload test per instrumented layer: aggregation
@@ -368,8 +369,12 @@ TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
     grid.link_fidelity_overrides = {{0, 1, 0.93}};
     const std::vector<driver::SweepCell> cells = grid.cells();
 
-    using CellCounts =
-        std::map<std::string, std::map<std::string, std::uint64_t>>;
+    using Counts = std::map<std::string, std::uint64_t>;
+    using CellCounts = std::map<std::string, Counts>;
+    // Per-cell buckets, plus the unscoped global bucket under "": the
+    // memoized plan stage (aggregate, assign, reorder) runs outside any
+    // CellScope, so its decisions land there. A global count is the
+    // registry total minus every cell's share, as in explain_json().
     auto run = [&](std::size_t threads) {
         reset_obs(true);
         obs::set_ring_capacity(4096); // counts must survive rotation
@@ -380,25 +385,32 @@ TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
         obs::set_ring_capacity(0);
         const obs::Registry& reg = obs::Registry::instance();
         CellCounts out;
+        Counts& global = out[""];
+        for (const std::string& name : reg.counter_names())
+            if (name.rfind("decision.", 0) == 0 && !thread_dependent(name))
+                global[name] = reg.find_counter(name)->value();
         for (const std::string& scope : reg.scope_names())
             for (const std::string& name :
                  reg.scoped_counter_names(scope))
                 if (name.rfind("decision.", 0) == 0 &&
-                    !thread_dependent(name))
-                    out[scope][name] =
+                    !thread_dependent(name)) {
+                    const std::uint64_t n =
                         reg.find_scoped_counter(scope, name)->value();
+                    out[scope][name] = n;
+                    global[name] -= n;
+                }
         return out;
     };
 
     const CellCounts serial = run(1);
     const CellCounts parallel = run(8);
 
-    ASSERT_EQ(serial.size(), cells.size());
+    ASSERT_EQ(serial.size(), cells.size() + 1);
     ASSERT_EQ(parallel.size(), serial.size());
     for (const auto& [scope, counts] : serial) {
         const auto it = parallel.find(scope);
         ASSERT_NE(it, parallel.end()) << scope;
-        EXPECT_EQ(counts, it->second) << scope;
+        EXPECT_EQ(counts, it->second) << "bucket \"" << scope << "\"";
     }
 
     // The noisy overridden-link grid must actually exercise the
@@ -406,14 +418,20 @@ TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
     std::uint64_t purify = 0, scheme = 0, route = 0, burst = 0;
     for (const auto& [scope, counts] : serial)
         for (const auto& [name, value] : counts) {
+            // Aggregation and scheme assignment are plan work, shared
+            // by a plan group's cells; purification and routing are
+            // per-machine work inside each cell.
+            if (scope.empty()) {
+                if (name.rfind("decision.aggregate.burst.", 0) == 0)
+                    burst += value;
+                if (name.rfind("decision.schedule.scheme.", 0) == 0)
+                    scheme += value;
+                continue;
+            }
             if (name.rfind("decision.schedule.purify.", 0) == 0)
                 purify += value;
-            if (name.rfind("decision.schedule.scheme.", 0) == 0)
-                scheme += value;
             if (name.rfind("decision.route.path.", 0) == 0)
                 route += value;
-            if (name.rfind("decision.aggregate.burst.", 0) == 0)
-                burst += value;
         }
     EXPECT_GT(purify, 0u);
     EXPECT_GT(scheme, 0u);

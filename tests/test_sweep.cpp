@@ -10,6 +10,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "cache/store.hpp"
 #include "circuits/qasm_source.hpp"
 #include "driver/sweep.hpp"
+#include "obs/registry.hpp"
 #include "qir/qasm.hpp"
 #include "support/log.hpp"
 #include "verify/random_circuit.hpp"
@@ -427,10 +429,61 @@ TEST(Sweep, CsvReportsNoiseColumnsAndValues)
     EXPECT_NE(csv.find("0.99"), std::string::npos);
 }
 
+/** run_cell's row for @p cell, with a thrown failure recorded in-row the
+ * way run_sweep records it (ok == false, the exception text in error). */
+SweepRow
+direct_row(const SweepCell& cell)
+{
+    try {
+        return driver::run_cell(cell);
+    } catch (const std::exception& e) {
+        SweepRow row;
+        row.cell = cell;
+        row.error = e.what();
+        return row;
+    }
+}
+
+/** The data lines of @p rows' sweep CSV (header dropped). */
+std::vector<std::string>
+csv_lines(const std::vector<SweepRow>& rows)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(driver::sweep_csv(rows).to_string());
+    std::string line;
+    std::getline(in, line); // header
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
+}
+
+/** Every run_sweep row of @p cells, at 1 and 4 threads, equals the
+ * CSV line of an uncached run_cell. */
+void
+expect_sweep_matches_run_cell(const std::vector<SweepCell>& cells)
+{
+    std::vector<SweepRow> direct;
+    for (const SweepCell& cell : cells)
+        direct.push_back(direct_row(cell));
+    const std::vector<std::string> expected = csv_lines(direct);
+    ASSERT_EQ(expected.size(), cells.size());
+    for (std::size_t threads : {1u, 4u}) {
+        SweepOptions opts;
+        opts.num_threads = threads;
+        const std::vector<std::string> got =
+            csv_lines(driver::run_sweep(cells, opts));
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            EXPECT_EQ(got[i], expected[i])
+                << cells[i].label() << " at " << threads << " threads";
+    }
+}
+
 TEST(Sweep, MemoizedSweepMatchesDirectRunCell)
 {
-    // run_sweep memoizes circuits, interaction graphs, and OEE mappings
-    // across cells; every row must still equal an uncached run_cell.
+    // run_sweep memoizes circuits, interaction graphs, OEE mappings, and
+    // plans (aggregate -> assign -> reorder) across cells; every row must
+    // still equal an uncached run_cell, on every built-in option set.
     SweepGrid grid;
     grid.families = {circuits::Family::QFT, circuits::Family::BV};
     grid.qubit_counts = {12};
@@ -438,23 +491,94 @@ TEST(Sweep, MemoizedSweepMatchesDirectRunCell)
     grid.topologies = {hw::Topology::AllToAll, hw::Topology::Ring};
     grid.link_fidelities = {1.0, 0.95};
     grid.target_fidelities = {0.97};
-    grid.option_sets = {driver::OptionSet{},
-                        *driver::find_option_set("sparse")};
+    grid.link_bandwidths = {0, 2};
+    grid.option_sets = driver::builtin_option_sets();
+    grid.with_baseline = true;
     const std::vector<SweepCell> cells = grid.cells();
-    ASSERT_EQ(cells.size(), 16u);
+    ASSERT_EQ(cells.size(), 80u);
+    expect_sweep_matches_run_cell(cells);
+}
+
+TEST(Sweep, PlanIsBuiltOncePerGroup)
+{
+    // 1 program x 3 topologies x 5 built-in sets share one OEE mapping;
+    // "default", "noprefetch", and "nofusion" differ only in schedule
+    // options, so the distinct (mapping, aggregate, assign) groups are
+    // default-like, "sparse", and "catonly": three plans for 15 cells.
+    SweepGrid grid;
+    grid.families = {circuits::Family::QFT};
+    grid.qubit_counts = {12};
+    grid.node_counts = {3};
+    grid.topologies = {hw::Topology::AllToAll, hw::Topology::Ring,
+                       hw::Topology::Grid};
+    grid.option_sets = driver::builtin_option_sets();
+    const std::vector<SweepCell> cells = grid.cells();
+    ASSERT_EQ(cells.size(), 15u);
+
+    obs::set_enabled(true);
+    obs::Registry::instance().reset();
+    SweepOptions opts;
+    opts.num_threads = 4;
+    const std::vector<SweepRow> rows = driver::run_sweep(cells, opts);
+    obs::set_enabled(false);
+    const obs::Registry& reg = obs::Registry::instance();
+    for (const SweepRow& r : rows)
+        EXPECT_TRUE(r.ok) << r.cell.label() << ": " << r.error;
+    for (const char* pass : {"aggregate", "assign", "reorder"}) {
+        const obs::Histogram* h = reg.find_histogram(pass);
+        ASSERT_NE(h, nullptr) << pass;
+        EXPECT_EQ(h->count(), 3u) << pass;
+    }
+    const obs::Histogram* schedule = reg.find_histogram("schedule");
+    ASSERT_NE(schedule, nullptr);
+    EXPECT_EQ(schedule->count(), cells.size());
+    obs::Registry::instance().reset();
+}
+
+TEST(Sweep, PlanGroupErrorRowsMatchDirectRunCell)
+{
+    // One plan group (QFT-16-4, OEE, default-like options) whose cells
+    // fail per-machine validation in different ways, next to cells that
+    // compile, plus a shape too small to map and a stats-only cell.
+    SweepCell base;
+    base.spec = {circuits::Family::QFT, 16, 4};
+    base.link_fidelity = 0.6;
+    base.target_fidelity = 0.99;
+
+    std::vector<SweepCell> cells;
+    cells.push_back(base); // all-to-all: every pair purifies in one hop
+    SweepCell unreachable = base;
+    unreachable.topology = hw::Topology::Ring; // 2-hop pairs fall below 0.5
+    cells.push_back(unreachable);
+    SweepCell missing_node = base;
+    missing_node.link_fidelity_overrides = {{0, 7, 0.9}}; // no node 7
+    cells.push_back(missing_node);
+    SweepCell noprefetch = unreachable;
+    noprefetch.options = *driver::find_option_set("noprefetch");
+    cells.push_back(noprefetch);
+    SweepCell nofusion = base;
+    nofusion.options = *driver::find_option_set("nofusion");
+    cells.push_back(nofusion);
+    SweepCell too_small = base;
+    too_small.shape = "4x2"; // 8 < 16 qubits
+    cells.push_back(too_small);
+    SweepCell stats_only = unreachable;
+    stats_only.stats_only = true;
+    cells.push_back(stats_only);
+
+    expect_sweep_matches_run_cell(cells);
 
     const std::vector<SweepRow> rows = driver::run_sweep(cells, {});
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const SweepRow direct = driver::run_cell(cells[i]);
-        SCOPED_TRACE(cells[i].label());
-        ASSERT_EQ(rows[i].ok, direct.ok);
-        EXPECT_EQ(rows[i].metrics.total_comms, direct.metrics.total_comms);
-        EXPECT_EQ(rows[i].remote_cx, direct.remote_cx);
-        EXPECT_DOUBLE_EQ(rows[i].schedule.makespan,
-                         direct.schedule.makespan);
-        EXPECT_EQ(rows[i].schedule.epr_raw_pairs,
-                  direct.schedule.epr_raw_pairs);
-    }
+    EXPECT_TRUE(rows[0].ok) << rows[0].error;
+    EXPECT_FALSE(rows[1].ok);
+    EXPECT_NE(rows[1].error.find("purification"), std::string::npos)
+        << rows[1].error;
+    EXPECT_FALSE(rows[2].ok);
+    EXPECT_FALSE(rows[3].ok);
+    EXPECT_TRUE(rows[4].ok) << rows[4].error;
+    EXPECT_FALSE(rows[5].ok);
+    EXPECT_NE(rows[5].error.find("capacity"), std::string::npos)
+        << rows[5].error;
 }
 
 // ------------------------------------------------- CLI axis-list parsing
