@@ -6,17 +6,17 @@
  * coarsen/initial/refine phases broken out), aggregation, scheme
  * assignment, block reorder+metrics, and the latency-simulating
  * scheduler. Not a paper table — this measures the compiler, not the
- * compiled programs. It is the profiling substrate for parallelizing
- * within one compilation (see ROADMAP): the aggregate column is the
- * remaining single-threaded hot path.
+ * compiled programs.
  *
  *   bench_compiler_perf                             # default grid
  *   bench_compiler_perf --families QFT,UCCSD --qubits 100,200 --reps 5
  *   bench_compiler_perf --partitioner multilevel    # phase-split rows
  *   bench_compiler_perf --csv perf.csv              # machine-readable
  *
- * Each phase is timed over --reps repetitions and the minimum is
- * reported (the usual denoising for wall-clock microbenchmarks).
+ * Each rep compiles the cell with driver::run_cell — the code a sweep
+ * runs — on the default all-to-all machine, and the minimum over --reps
+ * repetitions is reported (the usual denoising for wall-clock
+ * microbenchmarks).
  *
  * Timing comes from the obs subsystem: every pass runs under an
  * obs::Span, and a rep's per-pass time is the growth of the pass's
@@ -27,27 +27,19 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
-#include <optional>
+#include <exception>
 #include <string>
 #include <vector>
 
-#include "autocomm/pipeline.hpp"
 #include "circuits/library.hpp"
 #include "common.hpp"
 #include "driver/sweep.hpp"
-#include "multilevel/partitioner.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "partition/interaction_graph.hpp"
 #include "partition/mapper.hpp"
-#include "partition/oee.hpp"
-#include "qir/decompose.hpp"
 #include "support/csv.hpp"
 #include "support/log.hpp"
 #include "support/table.hpp"
-#include "support/threadpool.hpp"
 
 namespace {
 
@@ -112,75 +104,14 @@ pass_sums_ns()
     return out;
 }
 
-/** One full pipeline run under obs spans; per-pass times are the growth
- * of each pass's registry histogram over this rep. */
+/** One driver::run_cell compile of @p cell; per-pass times are the
+ * growth of each pass's registry histogram over this rep. */
 Breakdown
-profile_once(const circuits::BenchmarkSpec& spec,
-             partition::Mapper mapper, std::size_t* gates,
-             support::ThreadPool* pool)
+profile_once(const driver::SweepCell& cell, std::size_t* gates)
 {
     const auto before = pass_sums_ns();
-
-    qir::Circuit c;
-    {
-        obs::Span span("decompose", spec.label());
-        c = qir::decompose(circuits::make_benchmark(spec, 2022));
-    }
-    *gates = c.size();
-
-    std::optional<partition::InteractionGraph> g;
-    {
-        obs::Span span("graph", spec.label());
-        g = partition::InteractionGraph::from_circuit(c);
-    }
-
-    const hw::Machine m = hw::Machine::homogeneous(
-        spec.num_nodes,
-        (spec.num_qubits + spec.num_nodes - 1) / spec.num_nodes);
-    hw::QubitMapping map;
-    {
-        obs::Span span("partition", spec.label());
-        if (mapper == partition::Mapper::Oee) {
-            map = hw::QubitMapping(
-                partition::oee_partition(*g, m.capacities()));
-        } else {
-            // The multilevel pipeline records its own coarsen/initial/
-            // refine spans, so the partition bucket splits into phase
-            // rows (the +oee polish, when selected, is the remainder).
-            partition::MapperOptions mopts;
-            mopts.multilevel.pool = nullptr; // one compilation, one thread
-            std::vector<NodeId> part = multilevel::multilevel_partition(
-                *g, m, mopts.multilevel);
-            if (mapper == partition::Mapper::MultilevelOee)
-                part = partition::oee_polish(*g, std::move(part),
-                                             m.num_nodes, mopts.polish);
-            map = hw::QubitMapping(std::move(part));
-        }
-    }
-
-    std::vector<pass::CommBlock> blocks;
-    {
-        obs::Span span("aggregate", spec.label());
-        blocks = pass::aggregate(c, map, {}, pool);
-    }
-    {
-        obs::Span span("assign", spec.label());
-        pass::assign_schemes(c, blocks);
-    }
-    std::vector<std::size_t> block_start;
-    qir::Circuit reordered;
-    {
-        obs::Span span("reorder", spec.label());
-        const pass::Metrics metrics = pass::compute_metrics(c, blocks);
-        reordered = pass::reorder_with_blocks(c, blocks, &block_start);
-        (void)metrics;
-    }
-    {
-        obs::Span span("schedule", spec.label());
-        const pass::ScheduleResult sched = pass::schedule_program(
-            reordered, blocks, block_start, map, m);
-        (void)sched;
-    }
+    const driver::SweepRow row = driver::run_cell(cell);
+    *gates = row.stats.total_gates;
 
     const auto after = pass_sums_ns();
     std::array<double, kPassNames.size()> ms;
@@ -215,11 +146,6 @@ usage(const char* argv0)
         "                   coarsen/initial/refine columns\n"
         "  --reps N         repetitions per cell, min reported "
         "(default 3)\n"
-        "  --threads N      worker threads for the parallel passes "
-        "(default 1 = serial)\n"
-        "  --assert-speedup X  also profile serially and fail unless\n"
-        "                   serial/parallel (aggregate+schedule) >= X\n"
-        "                   for every cell (requires --threads > 1)\n"
         "  --csv PATH       write the breakdown as CSV\n"
         "  --trace-out FILE write a Chrome trace-event JSON of the "
         "profiled spans\n"
@@ -244,8 +170,6 @@ main(int argc, char** argv)
     std::vector<int> qubits = {50, 100, 200};
     partition::Mapper mapper = partition::Mapper::Oee;
     int reps = 3;
-    int threads = 1;
-    double assert_speedup = 0.0;
     std::string csv_path;
     bench::ObsCli obs_cli;
 
@@ -274,15 +198,6 @@ main(int argc, char** argv)
             } else if (arg == "--reps") {
                 reps = driver::parse_int_list(value(), "--reps", 1, 1000)
                            .at(0);
-            } else if (arg == "--threads") {
-                threads =
-                    driver::parse_int_list(value(), "--threads", 1, 1024)
-                        .at(0);
-            } else if (arg == "--assert-speedup") {
-                assert_speedup = std::atof(value().c_str());
-                if (assert_speedup <= 0.0)
-                    support::fatal("--assert-speedup: expected a positive "
-                                   "ratio");
             } else if (arg == "--csv") {
                 csv_path = value();
             } else if (bench::parse_obs_flag(obs_cli, argc, argv, i)) {
@@ -301,24 +216,17 @@ main(int argc, char** argv)
                       "refine (ms)", "aggregate (ms)", "assign (ms)",
                       "reorder (ms)", "schedule (ms)", "total (ms)"});
     support::CsvWriter csv({"name", "qubits", "nodes", "partitioner",
-                            "threads", "gates", "decompose_ms", "graph_ms",
+                            "gates", "decompose_ms", "graph_ms",
                             "partition_ms", "coarsen_ms", "initial_ms",
                             "refine_ms", "aggregate_ms", "assign_ms",
                             "reorder_ms", "schedule_ms", "total_ms"});
 
-    if (assert_speedup > 0.0 && threads <= 1)
-        support::fatal("--assert-speedup requires --threads > 1");
     // The breakdown IS the obs registry here, so recording is always on
     // for this binary (apply_obs_cli still handles AUTOCOMM_TRACE and
     // lane naming for the optional exports).
     bench::apply_obs_cli(obs_cli);
     obs::set_lane_name("main");
     obs::set_enabled(true);
-    std::unique_ptr<support::ThreadPool> pool;
-    if (threads > 1)
-        pool = std::make_unique<support::ThreadPool>(
-            static_cast<std::size_t>(threads));
-    bool speedup_ok = true;
 
     for (const circuits::FamilySpec& f : families) {
         const std::vector<int> fam_qubits =
@@ -326,37 +234,20 @@ main(int argc, char** argv)
                 ? std::vector<int>{f.qasm_qubits}
                 : qubits;
         for (int q : fam_qubits) {
-            const circuits::BenchmarkSpec spec =
-                circuits::spec_for(f, q, std::max(2, q / 10));
+            driver::SweepCell cell;
+            cell.spec = circuits::spec_for(f, q, std::max(2, q / 10));
+            cell.partitioner = mapper;
+            const circuits::BenchmarkSpec& spec = cell.spec;
             std::size_t gates = 0;
-            Breakdown best = profile_once(spec, mapper, &gates, pool.get());
-            for (int r = 1; r < reps; ++r) {
-                std::size_t g2 = 0;
-                best.take_min(profile_once(spec, mapper, &g2, pool.get()));
-            }
-
-            if (assert_speedup > 0.0) {
-                std::size_t g2 = 0;
-                Breakdown serial = profile_once(spec, mapper, &g2, nullptr);
+            Breakdown best;
+            try {
+                best = profile_once(cell, &gates);
                 for (int r = 1; r < reps; ++r)
-                    serial.take_min(
-                        profile_once(spec, mapper, &g2, nullptr));
-                const double hot_serial = serial.aggregate + serial.schedule;
-                const double hot_par = best.aggregate + best.schedule;
-                const double ratio =
-                    hot_par > 0.0 ? hot_serial / hot_par : 0.0;
-                std::printf("%s: aggregate+schedule %.2f ms serial, "
-                            "%.2f ms at %d threads (%.2fx)\n",
-                            spec.label().c_str(), hot_serial, hot_par,
-                            threads, ratio);
-                if (ratio < assert_speedup) {
-                    std::fprintf(stderr,
-                                 "error: %s: speedup %.2fx below required "
-                                 "%.2fx\n",
-                                 spec.label().c_str(), ratio,
-                                 assert_speedup);
-                    speedup_ok = false;
-                }
+                    best.take_min(profile_once(cell, &gates));
+            } catch (const std::exception& e) {
+                std::fprintf(stderr, "error: %s: %s\n",
+                             cell.label().c_str(), e.what());
+                return 1;
             }
 
             t.start_row();
@@ -379,7 +270,6 @@ main(int argc, char** argv)
             csv.add(static_cast<long long>(q));
             csv.add(static_cast<long long>(spec.num_nodes));
             csv.add(std::string(partition::mapper_name(mapper)));
-            csv.add(static_cast<long long>(threads));
             csv.add(static_cast<long long>(gates));
             csv.add(best.decompose);
             csv.add(best.graph);
@@ -402,5 +292,5 @@ main(int argc, char** argv)
         csv.write_file(*dir + "/compiler_perf.csv");
     }
     bench::finish_obs_cli(obs_cli);
-    return speedup_ok ? 0 : 1;
+    return 0;
 }

@@ -1,13 +1,11 @@
 #include "autocomm/aggregate.hpp"
 
 #include <algorithm>
-#include <array>
 #include <unordered_map>
 
 #include "obs/decision.hpp"
 #include "qir/commute.hpp"
 #include "support/log.hpp"
-#include "support/threadpool.hpp"
 
 namespace autocomm::pass {
 
@@ -44,44 +42,6 @@ is_fence(const Gate& g)
     return !qir::is_unitary_gate(g.kind) || g.cond_bit >= 0;
 }
 
-/**
- * Fenwick tree over gate positions counting owner claims. Claims are
- * monotone (a gate is claimed at most once), so an unchanged count over an
- * interval proves no position in it changed ownership — which is how the
- * speculative scans below validate their reads cheaply.
- */
-class ClaimCounter
-{
-  public:
-    explicit ClaimCounter(std::size_t n) : tree_(n + 1, 0) {}
-
-    void
-    add(std::size_t i)
-    {
-        for (++i; i < tree_.size(); i += i & (0 - i))
-            ++tree_[i];
-    }
-
-    /** Claims in the closed interval [lo, hi]. */
-    std::size_t
-    count(std::size_t lo, std::size_t hi) const
-    {
-        return hi < lo ? 0 : prefix(hi + 1) - prefix(lo);
-    }
-
-  private:
-    std::size_t
-    prefix(std::size_t i) const
-    {
-        std::size_t s = 0;
-        for (; i > 0; i -= i & (0 - i))
-            s += tree_[i];
-        return s;
-    }
-
-    std::vector<std::size_t> tree_;
-};
-
 struct PairInfo
 {
     QubitId hub;
@@ -89,61 +49,24 @@ struct PairInfo
     std::vector<std::size_t> gates;
 };
 
-/** Candidate block produced by a speculative (read-only) pair scan. */
-struct SpecBlock
-{
-    std::vector<std::size_t> members;
-    std::vector<std::size_t> absorbed;
-    std::vector<std::size_t> children;
-};
-
-/**
- * Result of one speculative pair scan: the blocks it would emit plus
- * everything mutable it read. The scan is a deterministic function of the
- * circuit (immutable), the owner array restricted to `reads`, and the
- * parent links of `tops` (finalized block content, windows, and the memo
- * caches never change during the scan phase) — so if the recorded claim
- * counts and parent links are unchanged at apply time, committing the
- * candidate blocks is exactly what a serial rescan would do.
- */
-struct ScanSpec
-{
-    std::vector<SpecBlock> blocks;
-    /** Closed intervals read, with the claim count seen at snapshot. */
-    std::vector<std::array<std::size_t, 3>> reads; ///< {lo, hi, count}
-    /** Referenced top-level blocks; parent must still be -1 at apply. */
-    std::vector<std::size_t> tops;
-};
-
 /** Scored refinement merge: what try_merge would fold into A. */
 struct MergePlan
 {
-    bool ok = false;
     std::vector<std::size_t> pending;
     std::vector<std::size_t> pending_children;
 };
 
-/**
- * The aggregation pass state machine. Serial behavior is the reference;
- * the parallel paths (scan_phase / refine_phase with a pool) speculate on
- * a frozen snapshot and validate before applying in the serial order, so
- * the output is bit-identical for every thread count.
- */
+/** The aggregation pass state machine. */
 struct Aggregator
 {
     const qir::Circuit& c;
     const hw::QubitMapping& map;
     const AggregateOptions& opts;
-    support::ThreadPool* pool;
 
     std::size_t n;
     long num_nodes;
     std::vector<char> remote;
     std::vector<int> owner;
-    /** Claim tracking feeds speculative-scan validation only; the serial
-     * path never reads it, so skip the Fenwick updates there. */
-    bool track_claims = false;
-    ClaimCounter claims;
     std::vector<CommBlock> out;
     std::vector<PairInfo> pairs;
     std::vector<std::size_t> order;
@@ -157,20 +80,11 @@ struct Aggregator
     std::vector<BlockContext> ctx_cache;
 
     Aggregator(const qir::Circuit& c_, const hw::QubitMapping& map_,
-               const AggregateOptions& opts_, support::ThreadPool* pool_)
-        : c(c_), map(map_), opts(opts_), pool(pool_), n(c_.size()),
+               const AggregateOptions& opts_)
+        : c(c_), map(map_), opts(opts_), n(c_.size()),
           num_nodes(std::max(1, map_.num_nodes())), remote(n, 0),
-          owner(n, -1), claims(n)
+          owner(n, -1)
     {
-    }
-
-    bool
-    parallel() const
-    {
-        // From inside a pool worker parallel_for runs inline, so the
-        // speculation machinery would only add overhead — scan serially.
-        return pool && pool->size() > 1 &&
-               !support::ThreadPool::on_worker_thread();
     }
 
     // ---- Block emission ------------------------------------------------
@@ -184,10 +98,7 @@ struct Aggregator
             return;
         // Burst-pair outcome: a multi-gate block is an aggregation win
         // ("accept"); a single lone gate means the scan found nothing to
-        // merge and communication stays per-gate ("reject"). Emission
-        // happens on the scanning thread at commit time (speculative
-        // scans defer to commit_spec), so counts are deterministic at
-        // any thread count.
+        // merge and communication stays per-gate ("reject").
         obs::decision("aggregate.burst",
                       members.size() + absorbed.size() >= 2 ? "accept"
                                                             : "reject",
@@ -208,16 +119,10 @@ struct Aggregator
                       return out[x].window_begin() < out[y].window_begin();
                   });
         const int id = static_cast<int>(out.size());
-        for (std::size_t i : blk.members) {
+        for (std::size_t i : blk.members)
             owner[i] = id;
-            if (track_claims)
-                claims.add(i);
-        }
-        for (std::size_t i : blk.absorbed) {
+        for (std::size_t i : blk.absorbed)
             owner[i] = id;
-            if (track_claims)
-                claims.add(i);
-        }
         for (std::size_t ch : blk.children)
             out[ch].parent = id;
         out.push_back(std::move(blk));
@@ -307,19 +212,11 @@ struct Aggregator
         ctx_cache[b] = std::move(ctx);
     }
 
-    /**
-     * The touch set of block @p b. Live callers fill the memo on demand;
-     * speculative (parallel) callers run against read-only state, so the
-     * cache pre-pass must already have filled it.
-     */
+    /** The touch set of block @p b (filling the memo on demand). */
     const std::vector<QubitId>&
-    touches(std::size_t b, bool live)
+    touches(std::size_t b)
     {
-        if (live)
-            ensure_cached(b);
-        else if (b >= touch_cache.size() || touch_cache[b].empty())
-            support::fatal(
-                "aggregate: speculative scan hit uncached block %zu", b);
+        ensure_cached(b);
         return touch_cache[b];
     }
 
@@ -383,34 +280,15 @@ struct Aggregator
     }
 
     // ---- Linear merge per pair, densest pair first ---------------------
-    // With spec == nullptr the scan runs live: it finalizes blocks and
-    // claims gates. With a spec it is read-only against the frozen state
-    // and records candidate blocks plus its full read footprint instead.
 
     void
-    scan_pair(std::size_t pi, ScanSpec* spec)
+    scan_pair(std::size_t pi)
     {
         const PairInfo& pair = pairs[pi];
-        const bool live = spec == nullptr;
         Builder cur;
         std::size_t prev = 0; // last member index (valid if !cur.empty())
 
-        auto emit = [&]() {
-            if (cur.empty())
-                return;
-            if (live) {
-                finalize(cur, pair.hub, pair.rnode);
-            } else {
-                spec->blocks.push_back({std::move(cur.members),
-                                        std::move(cur.absorbed),
-                                        std::move(cur.children)});
-                cur.reset();
-            }
-        };
-
         for (std::size_t idx : pair.gates) {
-            if (spec)
-                spec->reads.push_back({idx, idx, claims.count(idx, idx)});
             if (owner[idx] != -1)
                 continue; // claimed by an earlier block
             if (cur.empty()) {
@@ -425,9 +303,7 @@ struct Aggregator
             std::vector<std::size_t> pending;
             std::vector<std::size_t> pending_children;
             bool ok = true;
-            std::size_t j_hi = prev; // last gap position examined
             for (std::size_t j = prev + 1; j < idx && ok; ++j) {
-                j_hi = j;
                 const Gate& g = c[j];
                 if (g.kind == GateKind::Barrier || is_fence(g)) {
                     ok = false;
@@ -436,8 +312,6 @@ struct Aggregator
                 if (owner[j] != -1) {
                     const std::size_t top =
                         top_ancestor(static_cast<std::size_t>(owner[j]));
-                    if (spec)
-                        spec->tops.push_back(top);
                     const bool already_nested =
                         std::find(pending_children.begin(),
                                   pending_children.end(),
@@ -453,7 +327,7 @@ struct Aggregator
                     ok = false;
                     if (opts.absorb_local_gates &&
                         cb.window_begin() > prev && cb.window_end() < idx) {
-                        const std::vector<QubitId>& tt = touches(top, live);
+                        const std::vector<QubitId>& tt = touches(top);
                         const bool hits_hub =
                             std::find(tt.begin(), tt.end(), pair.hub) !=
                             tt.end();
@@ -506,9 +380,6 @@ struct Aggregator
                     ok = false;
                 }
             }
-            if (spec && j_hi > prev)
-                spec->reads.push_back(
-                    {prev + 1, j_hi, claims.count(prev + 1, j_hi)});
 
             if (ok) {
                 cur.members.push_back(idx);
@@ -521,97 +392,13 @@ struct Aggregator
                                     pending_children.end());
                 prev = idx;
             } else {
-                emit();
+                finalize(cur, pair.hub, pair.rnode);
                 cur.members.push_back(idx);
                 cur.ctx.absorb(c[idx]);
                 prev = idx;
             }
         }
-        emit();
-    }
-
-    bool
-    spec_valid(const ScanSpec& s) const
-    {
-        for (const auto& r : s.reads)
-            if (claims.count(r[0], r[1]) != r[2])
-                return false;
-        for (std::size_t t : s.tops)
-            if (out[t].parent != -1)
-                return false;
-        return true;
-    }
-
-    void
-    commit_spec(std::size_t pi, ScanSpec& s)
-    {
-        for (SpecBlock& sb : s.blocks)
-            emit_block(std::move(sb.members), std::move(sb.absorbed),
-                       std::move(sb.children), pairs[pi].hub,
-                       pairs[pi].rnode);
-    }
-
-    void
-    scan_phase()
-    {
-        if (!parallel()) {
-            for (std::size_t pi : order)
-                scan_pair(pi, nullptr);
-            return;
-        }
-        track_claims = true;
-
-        // Chunked speculation: scan a run of pairs in parallel against the
-        // frozen state, then validate-and-apply serially in ranked order.
-        // A pair whose reads were invalidated by an earlier apply in the
-        // same chunk is simply rescanned live — correctness never depends
-        // on the speculation succeeding. Chunk boundaries depend only on
-        // pair sizes, never on the thread count.
-        constexpr std::size_t kChunkGates = 4096;
-        constexpr std::size_t kChunkMaxPairs = 256;
-        std::size_t cached_upto = 0;
-        std::size_t start = 0;
-        while (start < order.size()) {
-            std::size_t end = start;
-            std::size_t gates = 0;
-            while (end < order.size() &&
-                   (end == start || (gates < kChunkGates &&
-                                     end - start < kChunkMaxPairs))) {
-                gates += pairs[order[end]].gates.size();
-                ++end;
-            }
-
-            // Speculative scans only read the memo caches, so everything
-            // referencable must be filled before the parallel section.
-            for (std::size_t b = cached_upto; b < out.size(); ++b)
-                ensure_cached(b);
-            cached_upto = out.size();
-
-            const std::size_t len = end - start;
-            std::vector<ScanSpec> specs(len);
-            const std::size_t ntasks = std::min(len, 4 * pool->size());
-            support::parallel_for(*pool, ntasks, [&](std::size_t t) {
-                for (std::size_t k = t; k < len; k += ntasks)
-                    scan_pair(order[start + k], &specs[k]);
-            });
-            for (std::size_t k = 0; k < len; ++k) {
-                // Speculation outcome (thread-dependent by nature:
-                // serial runs never speculate, so this category is
-                // excluded from the count-determinism contract).
-                if (spec_valid(specs[k])) {
-                    obs::decision("aggregate.spec", "commit",
-                                  obs::arg("pair", order[start + k]),
-                                  obs::arg("blocks",
-                                           specs[k].blocks.size()));
-                    commit_spec(order[start + k], specs[k]);
-                } else {
-                    obs::decision("aggregate.spec", "invalidate",
-                                  obs::arg("pair", order[start + k]));
-                    scan_pair(order[start + k], nullptr);
-                }
-            }
-            start = end;
-        }
+        finalize(cur, pair.hub, pair.rnode);
     }
 
     // ---- Iterative refinement (paper §4.2): block-level merging --------
@@ -621,24 +408,19 @@ struct Aggregator
     // complete blocks that lie between them, until a fixpoint.
 
     /**
-     * Score the merge of adjacent same-pair blocks @p a and @p b2 without
-     * mutating anything. Every mutable datum this reads lies inside the
-     * candidate window [A.window_begin(), B.window_end()]: the gap gates
-     * and their owners, the referenced tops (their windows sit strictly
-     * inside the gap), and both blocks' own content — which is what makes
-     * the commit-window intersection test in refine_phase sound.
+     * Score the merge of adjacent same-pair blocks @p a and @p b2 into
+     * @p plan without mutating any block (only the memo caches fill).
      */
     bool
-    evaluate_merge(std::size_t a, std::size_t b2, bool live,
-                   MergePlan& plan)
+    evaluate_merge(std::size_t a, std::size_t b2, MergePlan& plan)
     {
         const CommBlock& A = out[a];
         const CommBlock& B = out[b2];
         const std::size_t lo = A.members.back();
         const std::size_t hi = B.members.front();
 
-        touches(a, live);
-        touches(b2, live);
+        ensure_cached(a);
+        ensure_cached(b2);
         BlockContext ctx = ctx_cache[a];
         ctx.merge(ctx_cache[b2]);
 
@@ -662,7 +444,7 @@ struct Aggregator
                 const CommBlock& cb = out[top];
                 if (!(cb.window_begin() > lo && cb.window_end() < hi))
                     return false;
-                const std::vector<QubitId>& tt = touches(top, live);
+                const std::vector<QubitId>& tt = touches(top);
                 if (std::find(tt.begin(), tt.end(), A.hub) != tt.end())
                     return false;
                 for (std::size_t sib : plan.pending_children)
@@ -700,7 +482,6 @@ struct Aggregator
                 return false;
             }
         }
-        plan.ok = true;
         return true;
     }
 
@@ -745,10 +526,7 @@ struct Aggregator
 
     /** Record the outcome of one refinement merge candidate. Called
      * before commit_merge mutates the blocks, so the gain (gates folded
-     * from B plus the gap gates the plan claims) is still readable.
-     * Recorded identically by the serial and parallel apply paths —
-     * per-pair outcomes are byte-identical across thread counts (the
-     * PR 7 determinism gate), so commit/reject counts are too. */
+     * from B plus the gap gates the plan claims) is still readable. */
     void
     note_merge(std::size_t a, std::size_t b2, const MergePlan& plan,
                bool merged)
@@ -771,7 +549,7 @@ struct Aggregator
     try_merge(std::size_t a, std::size_t b2)
     {
         MergePlan plan;
-        if (!evaluate_merge(a, b2, /*live=*/true, plan)) {
+        if (!evaluate_merge(a, b2, plan)) {
             note_merge(a, b2, plan, false);
             return false;
         }
@@ -795,12 +573,10 @@ struct Aggregator
     {
         if (!(opts.use_commutation && opts.absorb_local_gates))
             return;
-        const bool par = parallel();
         for (int round = 0; round < 8; ++round) {
             bool changed = false;
-            // Group alive top-level blocks by (hub, remote node). The
-            // lists are extracted in map iteration order so serial and
-            // parallel rounds walk candidates identically.
+            // Group alive top-level blocks by (hub, remote node), each
+            // group in window order.
             std::unordered_map<long, std::vector<std::size_t>> groups;
             for (std::size_t b = 0; b < out.size(); ++b) {
                 if (out[b].members.empty() || out[b].parent != -1)
@@ -809,98 +585,22 @@ struct Aggregator
                        out[b].remote_node]
                     .push_back(b);
             }
-            std::vector<std::vector<std::size_t>> lists;
-            lists.reserve(groups.size());
             for (auto& [key, list] : groups) {
                 (void)key;
-                lists.push_back(std::move(list));
-            }
-            for (std::vector<std::size_t>& list : lists)
                 std::sort(list.begin(), list.end(),
                           [&](std::size_t x, std::size_t y) {
                               return out[x].window_begin() <
                                      out[y].window_begin();
                           });
-
-            if (!par) {
-                for (const std::vector<std::size_t>& list : lists)
-                    for (std::size_t i = 0; i + 1 < list.size(); ++i) {
-                        if (!alive_pair(list[i], list[i + 1]))
-                            continue;
-                        if (try_merge(list[i], list[i + 1]))
-                            changed = true;
-                    }
-            } else {
-                // Snapshot-score / serial-apply: every candidate merge is
-                // scored in parallel against the round-start state, then
-                // applied in the serial order. A candidate whose window
-                // intersects no committed merge's window saw exactly the
-                // state a live evaluation would see (all round mutations
-                // stay inside commit windows), so its plan commits as-is;
-                // otherwise it is re-scored live.
-                for (const std::vector<std::size_t>& list : lists)
-                    for (std::size_t b : list)
-                        ensure_cached(b);
-                std::vector<std::vector<MergePlan>> plans(lists.size());
-                for (std::size_t g = 0; g < lists.size(); ++g)
-                    if (lists[g].size() > 1)
-                        plans[g].resize(lists[g].size() - 1);
-                const std::size_t ntasks =
-                    std::min(lists.size(), 4 * pool->size());
-                support::parallel_for(
-                    *pool, ntasks, [&](std::size_t t) {
-                        for (std::size_t g = t; g < lists.size();
-                             g += ntasks)
-                            for (std::size_t i = 0;
-                                 i + 1 < lists[g].size(); ++i)
-                                evaluate_merge(lists[g][i],
-                                               lists[g][i + 1],
-                                               /*live=*/false,
-                                               plans[g][i]);
-                    });
-
-                std::vector<std::pair<std::size_t, std::size_t>> commits;
-                for (std::size_t g = 0; g < lists.size(); ++g)
-                    for (std::size_t i = 0; i + 1 < lists[g].size(); ++i) {
-                        const std::size_t a = lists[g][i];
-                        const std::size_t b2 = lists[g][i + 1];
-                        if (!alive_pair(a, b2))
-                            continue;
-                        const std::size_t wlo = out[a].window_begin();
-                        const std::size_t whi = out[b2].window_end();
-                        bool dirty = false;
-                        for (const auto& [clo, chi] : commits)
-                            if (clo <= whi && wlo <= chi) {
-                                dirty = true;
-                                break;
-                            }
-                        bool merged = false;
-                        if (!dirty) {
-                            note_merge(a, b2, plans[g][i],
-                                       plans[g][i].ok);
-                            if (plans[g][i].ok) {
-                                commit_merge(a, b2, plans[g][i]);
-                                merged = true;
-                            }
-                        } else {
-                            // A committed merge dirtied this window:
-                            // the snapshot score is stale, re-evaluate
-                            // live. The "rescore" verdict only exists
-                            // in parallel runs (serial apply is never
-                            // dirty) and is excluded from the
-                            // count-determinism contract; the
-                            // commit/reject it leads to is not.
-                            obs::decision("aggregate.merge", "rescore",
-                                          obs::arg("left", a),
-                                          obs::arg("right", b2));
-                            if (try_merge(a, b2))
-                                merged = true;
-                        }
-                        if (merged) {
-                            changed = true;
-                            commits.emplace_back(wlo, whi);
-                        }
-                    }
+            }
+            for (const auto& [key, list] : groups) {
+                (void)key;
+                for (std::size_t i = 0; i + 1 < list.size(); ++i) {
+                    if (!alive_pair(list[i], list[i + 1]))
+                        continue;
+                    if (try_merge(list[i], list[i + 1]))
+                        changed = true;
+                }
             }
             if (!changed)
                 break;
@@ -979,7 +679,8 @@ struct Aggregator
         }
 
         rank_pairs();
-        scan_phase();
+        for (std::size_t pi : order)
+            scan_pair(pi);
         refine_phase();
         return sorted_output();
     }
@@ -989,9 +690,9 @@ struct Aggregator
 
 std::vector<CommBlock>
 aggregate(const qir::Circuit& c, const hw::QubitMapping& map,
-          const AggregateOptions& opts, support::ThreadPool* pool)
+          const AggregateOptions& opts)
 {
-    Aggregator agg(c, map, opts, pool);
+    Aggregator agg(c, map, opts);
     return agg.run();
 }
 

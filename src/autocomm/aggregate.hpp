@@ -29,10 +29,6 @@
 #include "hw/machine.hpp"
 #include "qir/circuit.hpp"
 
-namespace autocomm::support {
-class ThreadPool;
-}
-
 namespace autocomm::pass {
 
 /** Options for the aggregation pass. */
@@ -69,14 +65,9 @@ struct AggregateOptions
  * remote multi-qubit gate lands in exactly one block; local gates may be
  * absorbed into at most one block. The input must already be decomposed
  * to one- and two-qubit gates (CCX is rejected if remote).
- *
- * When @p pool is non-null (and has more than one worker), the pair scans
- * and refinement rounds run speculatively in parallel with a serial
- * validate-and-apply step; the result is bit-identical to the serial pass.
  */
 std::vector<CommBlock> aggregate(const qir::Circuit& c,
                                  const hw::QubitMapping& map,
-                                 const AggregateOptions& opts = {},
-                                 support::ThreadPool* pool = nullptr);
+                                 const AggregateOptions& opts = {});
 
 } // namespace autocomm::pass

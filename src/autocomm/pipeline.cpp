@@ -8,8 +8,7 @@ namespace autocomm::pass {
 
 CompilePlan
 plan(const qir::Circuit& c, const hw::QubitMapping& map,
-     const AggregateOptions& aggregate_opts, const AssignOptions& assign_opts,
-     support::ThreadPool* pool)
+     const AggregateOptions& aggregate_opts, const AssignOptions& assign_opts)
 {
     if (c.num_qubits() != map.num_qubits())
         support::fatal("compile: circuit has %d qubits, mapping %d",
@@ -17,7 +16,7 @@ plan(const qir::Circuit& c, const hw::QubitMapping& map,
     CompilePlan p;
     {
         obs::Span span("aggregate");
-        p.blocks = aggregate(c, map, aggregate_opts, pool);
+        p.blocks = aggregate(c, map, aggregate_opts);
     }
     {
         obs::Span span("assign");
@@ -53,10 +52,9 @@ schedule_plan(const CompilePlan& p, const hw::QubitMapping& map,
 
 CompileResult
 compile(const qir::Circuit& c, const hw::QubitMapping& map,
-        const hw::Machine& m, const CompileOptions& opts,
-        support::ThreadPool* pool)
+        const hw::Machine& m, const CompileOptions& opts)
 {
-    CompilePlan p = plan(c, map, opts.aggregate, opts.assign, pool);
+    CompilePlan p = plan(c, map, opts.aggregate, opts.assign);
     CompileResult r;
     r.schedule = schedule_plan(p, map, m, opts.schedule);
     r.blocks = std::move(p.blocks);

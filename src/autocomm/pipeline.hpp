@@ -80,12 +80,10 @@ struct CompileResult
  * The machine-independent half: aggregate, assign schemes, count, and
  * reorder, under the "aggregate", "assign", and "reorder" spans. @p c
  * must be decomposed to 1q/2q gates and have as many qubits as @p map.
- * @p pool parallelizes aggregation as in compile().
  */
 CompilePlan plan(const qir::Circuit& c, const hw::QubitMapping& map,
                  const AggregateOptions& aggregate_opts = {},
-                 const AssignOptions& assign_opts = {},
-                 support::ThreadPool* pool = nullptr);
+                 const AssignOptions& assign_opts = {});
 
 /**
  * The per-machine half: validate @p m (shape, routing, noise) and @p map
@@ -101,15 +99,8 @@ ScheduleResult schedule_plan(const CompilePlan& p,
  * Run the full AutoComm pipeline: plan() then schedule_plan(). @p c must
  * be decomposed to 1q/2q gates. @p map must be valid for @p m (see
  * QubitMapping::validate).
- *
- * @p pool, when non-null, parallelizes the aggregation pass (see
- * pass::aggregate); the compiled result is bit-identical either way. The
- * pool is a separate parameter rather than a CompileOptions field because
- * options structs are hashed into cache keys and a transient pool pointer
- * must never reach one.
  */
 CompileResult compile(const qir::Circuit& c, const hw::QubitMapping& map,
-                      const hw::Machine& m, const CompileOptions& opts = {},
-                      support::ThreadPool* pool = nullptr);
+                      const hw::Machine& m, const CompileOptions& opts = {});
 
 } // namespace autocomm::pass

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <numbers>
 
 #include "support/log.hpp"
 
@@ -217,6 +218,41 @@ Statevector::norm() const
     return std::sqrt(s);
 }
 
+namespace {
+
+/** Apply every gate of the measurement-free circuit @p c to @p sv. */
+void
+run_unitary(const Circuit& c, Statevector& sv, support::Rng& rng)
+{
+    for (const Gate& g : c) {
+        if (!is_unitary_gate(g.kind) && g.kind != GateKind::Barrier)
+            support::fatal("unitary simulation: non-unitary gate %s",
+                           gate_name(g.kind));
+        sv.apply(g, rng);
+    }
+}
+
+/** A seeded Haar-random state over @p n qubits (normalized complex
+ * Gaussian amplitudes, Box-Muller). */
+Statevector
+random_state(int n, support::Rng& rng)
+{
+    std::vector<Complex> amps(std::size_t{1} << n);
+    double norm2 = 0.0;
+    for (Complex& z : amps) {
+        const double r = std::sqrt(-2.0 * std::log(1.0 - rng.next_double()));
+        const double t = 2.0 * std::numbers::pi * rng.next_double();
+        z = Complex(r * std::cos(t), r * std::sin(t));
+        norm2 += std::norm(z);
+    }
+    const double scale = 1.0 / std::sqrt(norm2);
+    for (Complex& z : amps)
+        z *= scale;
+    return Statevector(n, std::move(amps));
+}
+
+} // namespace
+
 CMatrix
 circuit_unitary(const Circuit& c)
 {
@@ -230,12 +266,7 @@ circuit_unitary(const Circuit& c)
         std::vector<Complex> amps(dim);
         amps[col] = 1.0;
         Statevector sv(n, std::move(amps));
-        for (const Gate& g : c) {
-            if (!is_unitary_gate(g.kind) && g.kind != GateKind::Barrier)
-                support::fatal("circuit_unitary: non-unitary gate %s",
-                               gate_name(g.kind));
-            sv.apply(g, rng);
-        }
+        run_unitary(c, sv, rng);
         for (std::size_t row = 0; row < dim; ++row)
             u.at(row, col) = sv.amplitudes()[row];
     }
@@ -247,7 +278,35 @@ circuits_equivalent(const Circuit& a, const Circuit& b, double eps)
 {
     if (a.num_qubits() != b.num_qubits())
         return false;
-    return circuit_unitary(a).equal_up_to_phase(circuit_unitary(b), eps);
+    const int n = a.num_qubits();
+    if (n <= kDenseEquivalenceMaxQubits)
+        return circuit_unitary(a).equal_up_to_phase(circuit_unitary(b), eps);
+    if (n > 20)
+        support::fatal("circuits_equivalent: %d qubits is too large", n);
+
+    // U_b = e^{i phi} U_a iff <U_a psi|U_b psi> = e^{i phi} for every
+    // psi. A random psi is an eigenvector of a non-scalar U_a^dag U_b
+    // with probability 0, so |<.|.>| = 1 on one state already separates
+    // the two; the common phase across states adds first-order
+    // sensitivity to small relative phases.
+    constexpr int kStimuli = 4;
+    support::Rng rng(0x5eed);
+    Complex phase{};
+    for (int k = 0; k < kStimuli; ++k) {
+        const Statevector psi = random_state(n, rng);
+        Statevector sa = psi;
+        Statevector sb = psi;
+        run_unitary(a, sa, rng);
+        run_unitary(b, sb, rng);
+        const Complex overlap = sa.inner(sb);
+        if (std::abs(std::abs(overlap) - 1.0) > eps)
+            return false;
+        if (k == 0)
+            phase = overlap;
+        else if (std::abs(overlap - phase) > eps)
+            return false;
+    }
+    return true;
 }
 
 } // namespace autocomm::qir

@@ -81,9 +81,20 @@ class Statevector
  */
 CMatrix circuit_unitary(const Circuit& c);
 
+/** Widest circuits circuits_equivalent() compares as dense unitaries. */
+inline constexpr int kDenseEquivalenceMaxQubits = 6;
+
 /**
  * True iff two measurement-free circuits implement the same unitary up to
- * global phase. Both must have the same qubit count.
+ * global phase (false when the qubit counts differ).
+ *
+ * Up to kDenseEquivalenceMaxQubits qubits this compares the dense
+ * unitaries (circuit_unitary). Wider circuits are simulated on a few
+ * seeded Haar-random input states (random-stimuli equivalence checking,
+ * after Burgholzer, Kueng & Wille): every output overlap
+ * <U_a psi|U_b psi> must have modulus 1, and all of them the same phase.
+ * Sound with probability 1, at the cost of a handful of statevector runs
+ * instead of 2^n. Practical up to 20 qubits.
  */
 bool circuits_equivalent(const Circuit& a, const Circuit& b,
                          double eps = 1e-8);

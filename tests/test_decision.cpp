@@ -11,8 +11,7 @@
  *    while the per-verdict counts stay exact (counter-backed);
  *  - per-cell decision counts, and the unscoped global bucket the shared
  *    plan stage records into, are identical at any sweep thread count
- *    for the deterministic categories (everything except the
- *    speculation-only aggregate.spec / aggregate.merge "rescore");
+ *    for every category;
  *  - one pinned-payload test per instrumented layer: aggregation
  *    (burst accept), scheduler (scheme choice + purification rounds),
  *    multilevel (FM apply with its gain), routing (max-fidelity vs BFS
@@ -346,16 +345,6 @@ TEST(DecisionLayers, RoutingDetourRecordsBothRouteStrings)
 
 // --------------------------------------------------------- determinism
 
-/** True for the decision counters whose counts may legitimately depend
- * on the thread count: speculative-scan events never fire serially, and
- * "rescore" marks dirty re-evaluations of the parallel merge pass. */
-bool
-thread_dependent(const std::string& counter)
-{
-    return counter.rfind("decision.aggregate.spec.", 0) == 0 ||
-           counter == "decision.aggregate.merge.rescore";
-}
-
 TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
 {
     driver::SweepGrid grid;
@@ -387,13 +376,12 @@ TEST(DecisionDeterminism, PerCellCountsIdenticalAcrossThreadCounts)
         CellCounts out;
         Counts& global = out[""];
         for (const std::string& name : reg.counter_names())
-            if (name.rfind("decision.", 0) == 0 && !thread_dependent(name))
+            if (name.rfind("decision.", 0) == 0)
                 global[name] = reg.find_counter(name)->value();
         for (const std::string& scope : reg.scope_names())
             for (const std::string& name :
                  reg.scoped_counter_names(scope))
-                if (name.rfind("decision.", 0) == 0 &&
-                    !thread_dependent(name)) {
+                if (name.rfind("decision.", 0) == 0) {
                     const std::uint64_t n =
                         reg.find_scoped_counter(scope, name)->value();
                     out[scope][name] = n;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -533,6 +534,43 @@ TEST(Sweep, PlanIsBuiltOncePerGroup)
     ASSERT_NE(schedule, nullptr);
     EXPECT_EQ(schedule->count(), cells.size());
     obs::Registry::instance().reset();
+}
+
+/** FNV-1a 64 of @p s. */
+std::uint64_t
+fnv1a64(const std::string& s)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char ch : s) {
+        h ^= ch;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(Sweep, OeeGridCsvIsPinned)
+{
+    // The 40-cell OEE grid: five families x 100/200 qubits x 4/10 nodes
+    // x all_to_all/ring, with the Ferrari baseline. Any change to
+    // preparation, partitioning, planning, scheduling, or the baseline
+    // that moves a single CSV byte changes the digest; the CSV is
+    // printed on failure for diffing against a known-good run.
+    SweepGrid grid;
+    grid.families = {circuits::Family::QFT, circuits::Family::MCTR,
+                     circuits::Family::QAOA, circuits::Family::BV,
+                     circuits::Family::RCA};
+    grid.qubit_counts = {100, 200};
+    grid.node_counts = {4, 10};
+    grid.topologies = {hw::Topology::AllToAll, hw::Topology::Ring};
+    grid.with_baseline = true;
+    const std::vector<SweepCell> cells = grid.cells();
+    ASSERT_EQ(cells.size(), 40u);
+
+    SweepOptions opts;
+    opts.num_threads = 4;
+    const std::string csv =
+        driver::sweep_csv(driver::run_sweep(cells, opts)).to_string();
+    EXPECT_EQ(fnv1a64(csv), 0x3f74161b23853dc6ull) << csv;
 }
 
 TEST(Sweep, PlanGroupErrorRowsMatchDirectRunCell)

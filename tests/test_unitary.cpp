@@ -6,15 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <optional>
+#include <vector>
 
 #include "qir/circuit.hpp"
 #include "qir/unitary.hpp"
+#include "support/log.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using namespace autocomm::qir;
+using autocomm::QubitId;
 using autocomm::support::Rng;
 
 TEST(Statevector, StartsInZeroState)
@@ -198,6 +203,114 @@ TEST(Unitary, GlobalPhaseIsIgnored)
     a.rz(0, pi / 2); // = S up to global phase e^{-i pi/4}
     b.s(0);
     EXPECT_TRUE(circuits_equivalent(a, b));
+}
+
+/**
+ * A seeded random circuit over @p n qubits. With @p rewrite it builds
+ * the same unitary from different gates: swap as three CX, CZ as H-CX-H,
+ * and Rz(t) as P(t), which differs by the global phase e^{-it/2}.
+ */
+Circuit
+random_circuit(int n, std::uint64_t seed, bool rewrite)
+{
+    Rng rng(seed);
+    Circuit c(n);
+    auto qubit = [&] { return static_cast<QubitId>(rng.next_below(n)); };
+    for (int i = 0; i < 5 * n; ++i) {
+        const QubitId a = qubit();
+        QubitId b = qubit();
+        if (b == a)
+            b = (a + 1) % n;
+        const double theta = rng.next_double() * 6.0;
+        switch (rng.next_below(6)) {
+          case 0:
+            c.h(a);
+            break;
+          case 1:
+            c.u3(a, theta, 0.5 * theta, 1.0);
+            break;
+          case 2:
+            if (rewrite)
+                c.p(a, theta);
+            else
+                c.rz(a, theta);
+            break;
+          case 3:
+            c.cp(a, b, theta);
+            break;
+          case 4:
+            if (rewrite)
+                c.h(b).cx(a, b).h(b);
+            else
+                c.cz(a, b);
+            break;
+          default:
+            if (rewrite)
+                c.cx(a, b).cx(b, a).cx(a, b);
+            else
+                c.swap(a, b);
+            break;
+        }
+    }
+    return c;
+}
+
+/** @p c with @p extra inserted before its middle gate, or with the
+ * middle gate dropped when @p extra is empty. */
+Circuit
+edit_middle(const Circuit& c, std::optional<Gate> extra)
+{
+    Circuit out(c.num_qubits());
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        if (i == c.size() / 2) {
+            if (!extra)
+                continue;
+            out.add(*extra);
+        }
+        out.add(c[i]);
+    }
+    return out;
+}
+
+// Above kDenseEquivalenceMaxQubits circuits_equivalent decides on random
+// states; the dense unitary comparison is the oracle it must agree with.
+TEST(Unitary, RandomStimuliAgreeWithDenseOracle)
+{
+    for (int n = kDenseEquivalenceMaxQubits + 1;
+         n <= kDenseEquivalenceMaxQubits + 3; ++n) {
+        const Circuit a = random_circuit(n, 100 + n, false);
+        const CMatrix ua = circuit_unitary(a);
+        struct Pair
+        {
+            const char* what;
+            Circuit b;
+            bool equivalent;
+        };
+        const std::vector<Pair> pairs = {
+            {"same", a, true},
+            {"rewritten", random_circuit(n, 100 + n, true), true},
+            {"extra T", edit_middle(a, Gate::t(n / 2)), false},
+            {"dropped gate", edit_middle(a, std::nullopt), false},
+            {"small CP", edit_middle(a, Gate::cp(0, n - 1, 1e-3)), false},
+            // So faint that every overlap still has modulus 1 within
+            // eps: only the common-phase requirement rejects it.
+            {"faint CP", edit_middle(a, Gate::cp(1, n - 2, 1e-5)), false},
+        };
+        for (const Pair& p : pairs) {
+            const bool dense =
+                ua.equal_up_to_phase(circuit_unitary(p.b), 1e-8);
+            EXPECT_EQ(dense, p.equivalent) << n << "q " << p.what;
+            EXPECT_EQ(circuits_equivalent(a, p.b), dense)
+                << n << "q " << p.what;
+        }
+    }
+}
+
+TEST(Unitary, CircuitsEquivalentRejectsOversizedCircuits)
+{
+    // Refused before any 2^n statevector is allocated.
+    EXPECT_THROW(circuits_equivalent(Circuit(21), Circuit(21)),
+                 autocomm::support::UserError);
 }
 
 } // namespace
