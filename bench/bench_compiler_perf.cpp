@@ -196,8 +196,7 @@ main(int argc, char** argv)
                                    "mode", list.size());
                 mapper = list.front();
             } else if (arg == "--reps") {
-                reps = driver::parse_int_list(value(), "--reps", 1, 1000)
-                           .at(0);
+                reps = driver::parse_int(value(), "--reps", 1, 1000);
             } else if (arg == "--csv") {
                 csv_path = value();
             } else if (bench::parse_obs_flag(obs_cli, argc, argv, i)) {

@@ -95,13 +95,12 @@ main(int argc, char** argv)
                     driver::parse_family_list(value(), "--family");
             } else if (arg == "--qubits") {
                 grid.qubit_counts = {
-                    driver::parse_int_list(value(), "--qubits").at(0)};
+                    driver::parse_int(value(), "--qubits")};
             } else if (arg == "--nodes") {
-                grid.node_counts = {
-                    driver::parse_int_list(value(), "--nodes").at(0)};
+                grid.node_counts = {driver::parse_int(value(), "--nodes")};
             } else if (arg == "--link-fidelity") {
-                grid.link_fidelities = {driver::parse_fidelity_list(
-                    value(), "--link-fidelity").at(0)};
+                grid.link_fidelities = {
+                    driver::parse_fidelity(value(), "--link-fidelity")};
             } else if (arg == "--targets") {
                 grid.target_fidelities = driver::parse_fidelity_list(
                     value(), "--targets", /*zero_disables=*/true);
@@ -109,8 +108,8 @@ main(int argc, char** argv)
                 grid.topologies =
                     driver::parse_topology_list(value(), "--topology");
             } else if (arg == "--link-bandwidth") {
-                grid.link_bandwidths = {driver::parse_int_list(
-                    value(), "--link-bandwidth", /*min_value=*/0).at(0)};
+                grid.link_bandwidths = {driver::parse_int(
+                    value(), "--link-bandwidth", /*min_value=*/0)};
             } else if (arg == "--link-fidelity-override") {
                 grid.link_fidelity_overrides = driver::parse_override_list(
                     value(), "--link-fidelity-override",
@@ -121,7 +120,7 @@ main(int argc, char** argv)
                     /*integer_value=*/true);
             } else if (arg == "--threads") {
                 sweep_opts.num_threads = static_cast<std::size_t>(
-                    driver::parse_int_list(value(), "--threads").at(0));
+                    driver::parse_int(value(), "--threads"));
             } else if (arg == "--csv") {
                 csv_path = value();
             } else if (arg == "--cache-dir") {

@@ -73,15 +73,8 @@ main()
         bench::run_sweep_cached(driver::cells_from_specs(blocks), {});
     const std::vector<driver::SweepRow> app_rows =
         bench::run_sweep_cached(driver::cells_from_specs(apps), {});
-    std::size_t failures = 0;
-    for (const auto* rows : {&block_rows, &app_rows})
-        for (const driver::SweepRow& r : *rows)
-            if (!r.ok) {
-                ++failures;
-                std::fprintf(stderr, "error: %s: %s\n",
-                             r.cell.spec.label().c_str(), r.error.c_str());
-            }
-    if (failures > 0)
+    const bool blocks_ok = bench::rows_ok(block_rows);
+    if (!bench::rows_ok(app_rows) || !blocks_ok)
         return 1;
 
     support::CsvWriter csv_a({"x", "mctr", "rca", "qft"});

@@ -40,15 +40,10 @@ main()
                                  /*stats_only=*/false, /*with_gptp=*/true),
         {});
 
-    std::size_t failures = 0;
+    const bool ok = bench::rows_ok(rows);
     for (const driver::SweepRow& r : rows) {
-        if (!r.ok) {
-            ++failures;
-            std::fprintf(stderr, "error: %s: %s\n",
-                         r.cell.spec.label().c_str(), r.error.c_str());
-            continue;
-        }
-        if (!r.gptp_factors || r.gptp_factors->improv_factor <= 0 ||
+        if (!r.ok || !r.gptp_factors ||
+            r.gptp_factors->improv_factor <= 0 ||
             r.gptp_factors->lat_dec_factor <= 0)
             continue;
         Acc& a = acc[circuits::family_name(r.cell.spec.family)];
@@ -81,5 +76,5 @@ main()
 
     if (auto dir = bench::csv_dir())
         csv.write_file(*dir + "/fig16.csv");
-    return failures == 0 ? 0 : 1;
+    return ok ? 0 : 1;
 }

@@ -4,13 +4,14 @@
  * aggregation WITHOUT gate commutation (sparse, one communication per
  * remote gate) divided by AutoComm's commutation-aware aggregation, on
  * QFT and BV at the three Table-2 sizes.
+ *
+ * Both arms compile through driver::run_sweep (the built-in "sparse"
+ * option set is the ablated arm) and are served from the persistent
+ * result store when AUTOCOMM_CACHE_DIR is set.
  */
 #include <cstdio>
 
 #include "common.hpp"
-#include "support/csv.hpp"
-#include "support/log.hpp"
-#include "support/table.hpp"
 
 int
 main()
@@ -19,45 +20,13 @@ main()
     using circuits::Family;
 
     std::puts("== Figure 17(a): no-commutation / commutation comm ratio ==");
-    support::Table t({"Program", "(#qubit,#node)", "NoCommute/Commute"});
-    support::CsvWriter csv({"program", "qubits", "nodes", "ratio"});
-
-    const std::vector<std::pair<int, int>> sizes =
-        bench::fast_mode()
-            ? std::vector<std::pair<int, int>>{{100, 10}}
-            : std::vector<std::pair<int, int>>{
-                  {100, 10}, {200, 20}, {300, 30}};
-
-    for (Family fam : {Family::QFT, Family::BV}) {
-        for (auto [q, n] : sizes) {
-            const circuits::BenchmarkSpec spec{fam, q, n};
-            std::fprintf(stderr, "compiling %s...\n", spec.label().c_str());
-            const bench::Instance inst = bench::prepare(spec);
-
-            const auto with =
-                pass::compile(inst.circuit, inst.mapping, inst.machine);
-            pass::CompileOptions no_commute;
-            no_commute.aggregate.use_commutation = false;
-            const auto without = pass::compile(inst.circuit, inst.mapping,
-                                               inst.machine, no_commute);
-
-            const double ratio =
-                static_cast<double>(without.metrics.total_comms) /
-                static_cast<double>(with.metrics.total_comms);
-            t.start_row();
-            t.add(spec.label());
-            t.add(support::strprintf("(%d,%d)", q, n));
-            t.add(ratio, 2);
-            csv.start_row();
-            csv.add(spec.label());
-            csv.add(static_cast<long long>(q));
-            csv.add(static_cast<long long>(n));
-            csv.add(ratio);
-        }
-    }
-    t.print();
+    if (!bench::ablation_panel(
+            {Family::QFT, Family::BV}, *driver::find_option_set("sparse"),
+            [](const driver::SweepRow& r) {
+                return static_cast<double>(r.metrics.total_comms);
+            },
+            "NoCommute/Commute", "fig17a.csv"))
+        return 1;
     std::puts("\npaper reference: QFT 4.35/4.55/4.62, BV 6.22/6.63/6.69");
-    if (auto dir = bench::csv_dir())
-        csv.write_file(*dir + "/fig17a.csv");
     return 0;
 }

@@ -4,13 +4,14 @@
  * the Cat-Comm-only assignment (the Diadamo-style specialized compiler,
  * extended) divided by AutoComm's hybrid Cat/TP assignment, on RCA and
  * QFT at the three Table-2 sizes.
+ *
+ * Both arms compile through driver::run_sweep (the built-in "catonly"
+ * option set is the ablated arm) and are served from the persistent
+ * result store when AUTOCOMM_CACHE_DIR is set.
  */
 #include <cstdio>
 
 #include "common.hpp"
-#include "support/csv.hpp"
-#include "support/log.hpp"
-#include "support/table.hpp"
 
 int
 main()
@@ -19,45 +20,13 @@ main()
     using circuits::Family;
 
     std::puts("== Figure 17(b): Cat-Comm-only / hybrid comm ratio ==");
-    support::Table t({"Program", "(#qubit,#node)", "CatOnly/Hybrid"});
-    support::CsvWriter csv({"program", "qubits", "nodes", "ratio"});
-
-    const std::vector<std::pair<int, int>> sizes =
-        bench::fast_mode()
-            ? std::vector<std::pair<int, int>>{{100, 10}}
-            : std::vector<std::pair<int, int>>{
-                  {100, 10}, {200, 20}, {300, 30}};
-
-    for (Family fam : {Family::RCA, Family::QFT}) {
-        for (auto [q, n] : sizes) {
-            const circuits::BenchmarkSpec spec{fam, q, n};
-            std::fprintf(stderr, "compiling %s...\n", spec.label().c_str());
-            const bench::Instance inst = bench::prepare(spec);
-
-            const auto hybrid =
-                pass::compile(inst.circuit, inst.mapping, inst.machine);
-            pass::CompileOptions cat_only;
-            cat_only.assign.allow_tp = false;
-            const auto cat = pass::compile(inst.circuit, inst.mapping,
-                                           inst.machine, cat_only);
-
-            const double ratio =
-                static_cast<double>(cat.metrics.total_comms) /
-                static_cast<double>(hybrid.metrics.total_comms);
-            t.start_row();
-            t.add(spec.label());
-            t.add(support::strprintf("(%d,%d)", q, n));
-            t.add(ratio, 2);
-            csv.start_row();
-            csv.add(spec.label());
-            csv.add(static_cast<long long>(q));
-            csv.add(static_cast<long long>(n));
-            csv.add(ratio);
-        }
-    }
-    t.print();
+    if (!bench::ablation_panel(
+            {Family::RCA, Family::QFT}, *driver::find_option_set("catonly"),
+            [](const driver::SweepRow& r) {
+                return static_cast<double>(r.metrics.total_comms);
+            },
+            "CatOnly/Hybrid", "fig17b.csv"))
+        return 1;
     std::puts("\npaper reference: RCA 1.35/1.02/1.17, QFT 4.20/4.46/4.56");
-    if (auto dir = bench::csv_dir())
-        csv.write_file(*dir + "/fig17b.csv");
     return 0;
 }

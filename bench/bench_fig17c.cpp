@@ -4,13 +4,14 @@
  * the plain greedy (as-soon-as-possible, no EPR prefetch, no teleport
  * fusion) block schedule divided by AutoComm's burst-greedy schedule, on
  * MCTR and QFT at the three Table-2 sizes.
+ *
+ * Both arms compile through driver::run_sweep and are served from the
+ * persistent result store when AUTOCOMM_CACHE_DIR is set. The arms
+ * differ only in schedule options, so they share one plan per program.
  */
 #include <cstdio>
 
 #include "common.hpp"
-#include "support/csv.hpp"
-#include "support/log.hpp"
-#include "support/table.hpp"
 
 int
 main()
@@ -19,45 +20,14 @@ main()
     using circuits::Family;
 
     std::puts("== Figure 17(c): greedy / burst-greedy latency ratio ==");
-    support::Table t({"Program", "(#qubit,#node)", "Greedy/BurstGreedy"});
-    support::CsvWriter csv({"program", "qubits", "nodes", "ratio"});
-
-    const std::vector<std::pair<int, int>> sizes =
-        bench::fast_mode()
-            ? std::vector<std::pair<int, int>>{{100, 10}}
-            : std::vector<std::pair<int, int>>{
-                  {100, 10}, {200, 20}, {300, 30}};
-
-    for (Family fam : {Family::MCTR, Family::QFT}) {
-        for (auto [q, n] : sizes) {
-            const circuits::BenchmarkSpec spec{fam, q, n};
-            std::fprintf(stderr, "compiling %s...\n", spec.label().c_str());
-            const bench::Instance inst = bench::prepare(spec);
-
-            const auto burst =
-                pass::compile(inst.circuit, inst.mapping, inst.machine);
-            pass::CompileOptions plain;
-            plain.schedule.epr_prefetch = false;
-            plain.schedule.tp_fusion = false;
-            const auto greedy = pass::compile(inst.circuit, inst.mapping,
-                                              inst.machine, plain);
-
-            const double ratio =
-                greedy.schedule.makespan / burst.schedule.makespan;
-            t.start_row();
-            t.add(spec.label());
-            t.add(support::strprintf("(%d,%d)", q, n));
-            t.add(ratio, 2);
-            csv.start_row();
-            csv.add(spec.label());
-            csv.add(static_cast<long long>(q));
-            csv.add(static_cast<long long>(n));
-            csv.add(ratio);
-        }
-    }
-    t.print();
+    driver::OptionSet greedy{"greedy", {}};
+    greedy.opts.schedule.epr_prefetch = false;
+    greedy.opts.schedule.tp_fusion = false;
+    if (!bench::ablation_panel(
+            {Family::MCTR, Family::QFT}, greedy,
+            [](const driver::SweepRow& r) { return r.schedule.makespan; },
+            "Greedy/BurstGreedy", "fig17c.csv"))
+        return 1;
     std::puts("\npaper reference: MCTR 1.24/1.17/1.19, QFT 1.44/1.56/1.61");
-    if (auto dir = bench::csv_dir())
-        csv.write_file(*dir + "/fig17c.csv");
     return 0;
 }

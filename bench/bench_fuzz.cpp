@@ -37,10 +37,13 @@
 #include <string>
 #include <vector>
 
+#include "baseline/gptp.hpp"
 #include "common.hpp"
 #include "obs/decision.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "partition/oee.hpp"
+#include "qir/decompose.hpp"
 #include "qir/qasm.hpp"
 #include "support/log.hpp"
 #include "support/threadpool.hpp"
@@ -183,29 +186,25 @@ main(int argc, char** argv)
                 seed_lo = lo;
                 seed_hi = hi;
             } else if (arg == "--qubits") {
-                qubits = driver::parse_int_list(value(), "--qubits", 2)
-                             .at(0);
+                qubits = driver::parse_int(value(), "--qubits", 2);
             } else if (arg == "--depth") {
-                depth =
-                    driver::parse_int_list(value(), "--depth", 1).at(0);
+                depth = driver::parse_int(value(), "--depth", 1);
             } else if (arg == "--nodes") {
-                nodes =
-                    driver::parse_int_list(value(), "--nodes", 2).at(0);
+                nodes = driver::parse_int(value(), "--nodes", 2);
             } else if (arg == "--shape") {
                 shape = value();
                 hw::parse_shape(shape); // validate eagerly
             } else if (arg == "--link-fidelity") {
-                link_fidelity = driver::parse_fidelity_list(
-                                    value(), "--link-fidelity")
-                                    .at(0);
+                link_fidelity =
+                    driver::parse_fidelity(value(), "--link-fidelity");
             } else if (arg == "--target") {
                 target_fidelity =
-                    driver::parse_fidelity_list(value(), "--target").at(0);
+                    driver::parse_fidelity(value(), "--target");
             } else if (arg == "--ccx") {
                 ccx = true;
             } else if (arg == "--threads") {
                 num_threads = static_cast<std::size_t>(
-                    driver::parse_int_list(value(), "--threads", 1).at(0));
+                    driver::parse_int(value(), "--threads", 1));
             } else if (arg == "--dump-dir") {
                 dump_dir = value();
             } else if (arg == "--emit-qasm") {

@@ -29,6 +29,7 @@
 #include "obs/trace.hpp"
 #include "partition/interaction_graph.hpp"
 #include "partition/mapper.hpp"
+#include "qir/decompose.hpp"
 #include "support/csv.hpp"
 #include "support/log.hpp"
 #include "support/table.hpp"
@@ -123,15 +124,12 @@ main(int argc, char** argv)
                     driver::parse_mapper_list(value(), "--partitioner");
             } else if (arg == "--threads") {
                 num_threads = static_cast<std::size_t>(
-                    driver::parse_int_list(value(), "--threads").at(0));
+                    driver::parse_int(value(), "--threads"));
             } else if (arg == "--seed") {
                 seed = static_cast<std::uint64_t>(
-                    driver::parse_int_list(value(), "--seed", 0,
-                                           1'000'000'000)
-                        .at(0));
+                    driver::parse_int(value(), "--seed", 0, 1'000'000'000));
             } else if (arg == "--reps") {
-                reps = driver::parse_int_list(value(), "--reps", 1, 1000)
-                           .at(0);
+                reps = driver::parse_int(value(), "--reps", 1, 1000);
             } else if (arg == "--csv") {
                 csv_path = value();
             } else if (bench::parse_obs_flag(obs_cli, argc, argv, i)) {
@@ -185,19 +183,14 @@ main(int argc, char** argv)
             std::unique_ptr<partition::InteractionGraph> graph;
             for (const MachineSpec& ms : machines) {
                 for (hw::Topology topo : topologies) {
-                    const circuits::BenchmarkSpec spec =
-                        circuits::spec_for(f, q, ms.num_nodes);
+                    driver::SweepCell cell;
+                    cell.spec = circuits::spec_for(f, q, ms.num_nodes);
+                    cell.shape = ms.shape;
+                    cell.topology = topo;
+                    const circuits::BenchmarkSpec& spec = cell.spec;
                     hw::Machine machine;
                     try {
-                        machine =
-                            ms.shape.empty()
-                                ? hw::Machine::homogeneous(
-                                      ms.num_nodes,
-                                      (q + ms.num_nodes - 1) /
-                                          ms.num_nodes,
-                                      topo)
-                                : hw::Machine::from_capacities(
-                                      hw::parse_shape(ms.shape), topo);
+                        machine = cell.machine();
                         if (graph == nullptr)
                             graph = std::make_unique<
                                 partition::InteractionGraph>(

@@ -225,7 +225,7 @@ main(int argc, char** argv)
                 }
             } else if (arg == "--threads") {
                 sweep_opts.num_threads = static_cast<std::size_t>(
-                    driver::parse_int_list(value(), "--threads").at(0));
+                    driver::parse_int(value(), "--threads"));
             } else if (arg == "--seed") {
                 const std::string s = value();
                 char* end = nullptr;

@@ -57,14 +57,10 @@ main(int argc, char** argv)
                                  /*stats_only=*/true),
         {}, cache.dir, &stats_line);
 
-    std::size_t failures = 0;
+    const bool ok = bench::rows_ok(rows);
     for (const driver::SweepRow& r : rows) {
-        if (!r.ok) {
-            ++failures;
-            std::fprintf(stderr, "error: %s: %s\n",
-                         r.cell.spec.label().c_str(), r.error.c_str());
+        if (!r.ok)
             continue;
-        }
         t.start_row();
         t.add(r.cell.spec.label());
         t.add(r.cell.spec.num_qubits);
@@ -87,5 +83,5 @@ main(int argc, char** argv)
     if (auto dir = bench::csv_dir())
         csv.write_file(*dir + "/table2.csv");
     bench::finish_obs_cli(obs_cli);
-    return failures == 0 ? 0 : 1;
+    return ok ? 0 : 1;
 }

@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -10,30 +11,11 @@
 #include "obs/decision.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "support/csv.hpp"
 #include "support/log.hpp"
+#include "support/table.hpp"
 
 namespace autocomm::bench {
-
-Instance
-prepare(const circuits::BenchmarkSpec& spec, std::uint64_t seed)
-{
-    driver::PreparedCell p = driver::prepare_cell(spec, seed);
-    return Instance{spec, std::move(p.circuit), p.machine,
-                    std::move(p.mapping)};
-}
-
-RowResult
-run_row(const Instance& inst, const pass::CompileOptions& autocomm_opts)
-{
-    RowResult r{
-        pass::compile(inst.circuit, inst.mapping, inst.machine,
-                      autocomm_opts),
-        baseline::compile_ferrari(inst.circuit, inst.mapping, inst.machine),
-        {},
-    };
-    r.factors = baseline::relative_factors(r.ferrari, r.autocomm);
-    return r;
-}
 
 bool
 fast_mode()
@@ -108,6 +90,62 @@ run_sweep_cached(const std::vector<driver::SweepCell>& cells,
 }
 
 bool
+rows_ok(const std::vector<driver::SweepRow>& rows)
+{
+    bool ok = true;
+    for (const driver::SweepRow& r : rows)
+        if (!r.ok) {
+            ok = false;
+            std::fprintf(stderr, "error: %s: %s\n", r.cell.label().c_str(),
+                         r.error.c_str());
+        }
+    return ok;
+}
+
+bool
+ablation_panel(const std::vector<circuits::Family>& families,
+               const driver::OptionSet& ablated,
+               double (*metric)(const driver::SweepRow&),
+               const char* ratio_header, const char* csv_name)
+{
+    const std::vector<int> scales =
+        fast_mode() ? std::vector<int>{1} : std::vector<int>{1, 2, 3};
+    std::vector<driver::SweepCell> cells;
+    for (circuits::Family fam : families)
+        for (int k : scales)
+            for (const driver::OptionSet& o : {driver::OptionSet{}, ablated}) {
+                driver::SweepCell cell;
+                cell.spec = {fam, 100 * k, 10 * k};
+                cell.options = o;
+                cells.push_back(std::move(cell));
+            }
+    const std::vector<driver::SweepRow> rows = run_sweep_cached(cells);
+    if (!rows_ok(rows))
+        return false;
+
+    support::Table t({"Program", "(#qubit,#node)", ratio_header});
+    support::CsvWriter csv({"program", "qubits", "nodes", "ratio"});
+    for (std::size_t i = 0; i < rows.size(); i += 2) {
+        const circuits::BenchmarkSpec& spec = rows[i].cell.spec;
+        const double ratio = metric(rows[i + 1]) / metric(rows[i]);
+        t.start_row();
+        t.add(spec.label());
+        t.add(support::strprintf("(%d,%d)", spec.num_qubits,
+                                 spec.num_nodes));
+        t.add(ratio, 2);
+        csv.start_row();
+        csv.add(spec.label());
+        csv.add(static_cast<long long>(spec.num_qubits));
+        csv.add(static_cast<long long>(spec.num_nodes));
+        csv.add(ratio);
+    }
+    t.print();
+    if (auto dir = csv_dir())
+        csv.write_file(*dir + "/" + csv_name);
+    return true;
+}
+
+bool
 parse_cache_flag(CacheCli& cli, int argc, char** argv, int& i)
 {
     if (std::strcmp(argv[i], "--cache-dir") == 0) {
@@ -148,24 +186,21 @@ parse_obs_flag(ObsCli& cli, int argc, char** argv, int& i)
         if (i + 1 >= argc)
             support::fatal("--explain-top requires a value");
         cli.explain_top =
-            driver::parse_int_list(argv[++i], "--explain-top", 0, 1000)
-                .at(0);
+            driver::parse_int(argv[++i], "--explain-top", 0, 1000);
         return true;
     }
     if (std::strcmp(argv[i], "--ring") == 0) {
         if (i + 1 >= argc)
             support::fatal("--ring requires a value");
-        const std::vector<int> v =
-            driver::parse_int_list(argv[++i], "--ring", 0, 1 << 24);
-        cli.ring = static_cast<std::size_t>(v.at(0));
+        cli.ring = static_cast<std::size_t>(
+            driver::parse_int(argv[++i], "--ring", 0, 1 << 24));
         return true;
     }
     if (std::strcmp(argv[i], "--sample-ms") == 0) {
         if (i + 1 >= argc)
             support::fatal("--sample-ms requires a value");
         cli.sample_ms =
-            driver::parse_int_list(argv[++i], "--sample-ms", 1, 60'000)
-                .at(0);
+            driver::parse_int(argv[++i], "--sample-ms", 1, 60'000);
         return true;
     }
     return false;

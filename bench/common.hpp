@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared infrastructure for the paper-reproduction bench binaries: build a
- * benchmark instance (generate, decompose, map with OEE), run AutoComm and
- * the baselines on it, and cache results across binaries of one process.
+ * Shared infrastructure for the paper-reproduction bench binaries: the
+ * suite and fast-mode switch, CSV output, driver::run_sweep through a
+ * persistent result store, and the shared CLI flag handling.
  *
  * Every bench binary prints the corresponding paper table/figure data to
  * stdout and (optionally, via AUTOCOMM_CSV_DIR) dumps a CSV per figure.
@@ -13,43 +13,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
-#include "autocomm/pipeline.hpp"
-#include "baseline/ferrari.hpp"
-#include "baseline/gptp.hpp"
 #include "circuits/library.hpp"
 #include "driver/sweep.hpp"
-#include "hw/machine.hpp"
 #include "obs/sampler.hpp"
-#include "partition/oee.hpp"
-#include "qir/decompose.hpp"
 
 namespace autocomm::bench {
-
-/** A fully prepared benchmark instance. */
-struct Instance
-{
-    circuits::BenchmarkSpec spec;
-    qir::Circuit circuit;   ///< decomposed to the CX+1q basis
-    hw::Machine machine;
-    hw::QubitMapping mapping; ///< OEE
-};
-
-/** Generate + decompose + map one suite row. */
-Instance prepare(const circuits::BenchmarkSpec& spec,
-                 std::uint64_t seed = 2022);
-
-/** AutoComm + Ferrari baseline results for one instance. */
-struct RowResult
-{
-    pass::CompileResult autocomm;
-    pass::CompileResult ferrari;
-    baseline::RelativeFactors factors;
-};
-
-/** Run the full AutoComm pipeline and the Ferrari baseline. */
-RowResult run_row(const Instance& inst,
-                  const pass::CompileOptions& autocomm_opts = {});
 
 /**
  * True when the AUTOCOMM_FAST environment variable is set: benches then
@@ -79,6 +49,23 @@ run_sweep_cached(const std::vector<driver::SweepCell>& cells,
                  driver::SweepOptions opts = {},
                  const std::string& cache_dir = {},
                  std::string* stats_line = nullptr);
+
+/** Print "error: <cell label>: <what>" to stderr for every failed row;
+ * true when every row compiled. */
+bool rows_ok(const std::vector<driver::SweepRow>& rows);
+
+/**
+ * One Fig. 17(a)-(c) ablation panel: compile every family at the three
+ * Table-2 sizes (100,10), (200,20), (300,30) — (100,10) alone in fast
+ * mode — under the default options and under @p ablated, in one sweep,
+ * and tabulate metric(ablated row) / metric(default row) per program
+ * under the column header @p ratio_header. Writes <csv_dir>/@p csv_name.
+ * Returns false (after reporting the failed rows) when a cell failed.
+ */
+bool ablation_panel(const std::vector<circuits::Family>& families,
+                    const driver::OptionSet& ablated,
+                    double (*metric)(const driver::SweepRow&),
+                    const char* ratio_header, const char* csv_name);
 
 /**
  * Shared --cache-dir/--cache-stats CLI handling for the table/figure

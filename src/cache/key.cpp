@@ -7,29 +7,6 @@ namespace autocomm::cache {
 
 namespace {
 
-/** Exact (%.17g) double field — 0.92 vs 0.92000000000000004 must key
- * differently, and equal doubles must key equally on every platform. */
-std::string
-num(double v)
-{
-    return support::strprintf("%.17g", v);
-}
-
-/** Canonical "a-b:value" override list with exact values (the display
- * form driver::override_spec uses %g and is not injective). */
-std::string
-overrides(const std::vector<driver::LinkValue>& list)
-{
-    std::string out;
-    for (const driver::LinkValue& o : list) {
-        if (!out.empty())
-            out += ",";
-        out += support::strprintf("%d-%d:%s", o.a, o.b,
-                                  num(o.value).c_str());
-    }
-    return out;
-}
-
 /**
  * Serialize every CompileOptions field. The option-set *name* is keyed
  * separately (it appears in the CSV); keying the contents too means a
@@ -81,8 +58,9 @@ cell_key(const driver::SweepCell& cell, const std::string& salt)
     // mirrors above): a new sweep axis that is not serialized below
     // would let cells differing only in that axis share a key — warm
     // runs would then serve wrong rows. Grow this mirror together with
-    // the canonical string. BenchmarkSpec gets its own pin because the
-    // CellMirror embeds the real type and would absorb its growth
+    // the canonical string (a machine field goes in
+    // SweepCell::machine_key). BenchmarkSpec gets its own pin because
+    // the CellMirror embeds the real type and would absorb its growth
     // silently.
     struct SpecMirror
     {
@@ -112,18 +90,12 @@ cell_key(const driver::SweepCell& cell, const std::string& salt)
     CellKey key;
     key.canonical = support::strprintf(
         "autocomm-cell-v2;salt=%s;family=%s;qubits=%d;nodes=%d;"
-        "seed=%llu;shape=%s;topology=%s;link_fidelity=%s;"
-        "target_fidelity=%s;link_bandwidth=%d;fidelity_overrides=%s;"
-        "bandwidth_overrides=%s;partitioner=%s;options=%s{%s};"
+        "seed=%llu;%s;partitioner=%s;options=%s{%s};"
         "baseline=%d;gptp=%d;stats_only=%d",
         salt.c_str(), circuits::family_name(cell.spec.family),
         cell.spec.num_qubits, cell.spec.num_nodes,
-        static_cast<unsigned long long>(cell.seed), cell.shape.c_str(),
-        hw::topology_name(cell.topology), num(cell.link_fidelity).c_str(),
-        num(cell.target_fidelity).c_str(), cell.link_bandwidth,
-        overrides(cell.link_fidelity_overrides).c_str(),
-        overrides(cell.link_bandwidth_overrides).c_str(),
-        partition::mapper_name(cell.partitioner),
+        static_cast<unsigned long long>(cell.seed),
+        cell.machine_key().c_str(), partition::mapper_name(cell.partitioner),
         cell.options.name.c_str(), option_fields(cell.options.opts).c_str(),
         cell.with_baseline ? 1 : 0, cell.with_gptp ? 1 : 0,
         cell.stats_only ? 1 : 0);

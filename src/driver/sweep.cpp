@@ -88,6 +88,118 @@ SweepCell::options_label() const
     return options.name + "!" + partition::mapper_name(partitioner);
 }
 
+namespace {
+
+/**
+ * The cell's per-node data-qubit capacities: spec.num_nodes nodes of
+ * ceil(qubits/nodes), or the parsed shape. Throws a UserError for a
+ * malformed geometry (non-positive counts, shape/node-count mismatch).
+ */
+std::vector<int>
+validate_cell_geometry(const SweepCell& cell)
+{
+    const circuits::BenchmarkSpec& spec = cell.spec;
+    if (spec.num_qubits <= 0 || spec.num_nodes <= 0)
+        support::fatal("sweep cell %s: qubit and node counts must be "
+                       "positive", spec.label().c_str());
+    if (cell.shape.empty())
+        return std::vector<int>(
+            static_cast<std::size_t>(spec.num_nodes),
+            (spec.num_qubits + spec.num_nodes - 1) / spec.num_nodes);
+    std::vector<int> caps = hw::parse_shape(cell.shape);
+    if (static_cast<int>(caps.size()) != spec.num_nodes)
+        support::fatal("sweep cell %s: shape \"%s\" has %zu nodes, "
+                       "spec says %d", spec.label().c_str(),
+                       cell.shape.c_str(), caps.size(), spec.num_nodes);
+    return caps;
+}
+
+/** Exact (%.17g) double: 0.92 and 0.92000000000000004 must differ, and
+ * equal doubles must print equally on every platform. */
+std::string
+exact(double v)
+{
+    return support::strprintf("%.17g", v);
+}
+
+/** "a-b:value" override list with exact values (override_spec's %g
+ * display form is not injective). */
+std::string
+exact_overrides(const std::vector<LinkValue>& list)
+{
+    std::string out;
+    for (const LinkValue& o : list) {
+        if (!out.empty())
+            out += ",";
+        out += support::strprintf("%d-%d:%s", o.a, o.b,
+                                  exact(o.value).c_str());
+    }
+    return out;
+}
+
+} // namespace
+
+hw::Machine
+SweepCell::machine() const
+{
+    std::vector<int> caps = validate_cell_geometry(*this);
+    hw::Machine m =
+        shape.empty()
+            ? hw::Machine::homogeneous(spec.num_nodes, caps.front(), topology)
+            : hw::Machine::from_capacities(std::move(caps), topology);
+    m.link.fidelity = link_fidelity;
+    m.link.bandwidth = link_bandwidth;
+    m.purify.target_fidelity = target_fidelity;
+    // Overrides must name physical links of this topology — a spec like
+    // 0-2 on a ring would otherwise be silently inert (nothing routes
+    // over a non-edge) while still coloring the label, CSV, and cache
+    // key. The factory's routing is still min-hop here (overrides are
+    // not applied yet), so hops == 1 identifies exactly the edges; the
+    // range check must come first because the all-to-all fallback
+    // answers 1 for any pair.
+    auto check_link = [&m](const LinkValue& o, const char* kind) {
+        if (o.a >= m.num_nodes || o.b >= m.num_nodes)
+            support::fatal("link %s override %d-%d names a node outside "
+                           "this %d-node machine", kind, o.a, o.b,
+                           m.num_nodes);
+        if (m.hops(o.a, o.b) != 1)
+            support::fatal("link %s override %d-%d: %d-%d is not a "
+                           "physical link of the %s topology", kind, o.a,
+                           o.b, o.a, o.b, hw::topology_name(m.topology));
+    };
+    for (const LinkValue& o : link_fidelity_overrides) {
+        check_link(o, "fidelity");
+        m.link.set_link_fidelity(o.a, o.b, o.value);
+    }
+    for (const LinkValue& o : link_bandwidth_overrides) {
+        check_link(o, "bandwidth");
+        m.link.set_link_bandwidth(o.a, o.b, static_cast<int>(o.value));
+    }
+    if (!link_fidelity_overrides.empty()) {
+        // Per-link fidelity overrides make min-hop routes suboptimal;
+        // rebuild so the router can detour around the degraded fibers.
+        m.build_routing();
+    }
+    // Catch overrides naming nodes this machine does not have here, with
+    // the cell's geometry in hand, rather than deep inside the pipeline.
+    m.validate_noise();
+    // Uniform link fidelities never change the routing already built by
+    // the factory, so no rebuild is needed for the plain axes.
+    return m;
+}
+
+std::string
+SweepCell::machine_key() const
+{
+    return support::strprintf(
+        "shape=%s;topology=%s;link_fidelity=%s;target_fidelity=%s;"
+        "link_bandwidth=%d;fidelity_overrides=%s;bandwidth_overrides=%s",
+        shape.c_str(), hw::topology_name(topology),
+        exact(link_fidelity).c_str(), exact(target_fidelity).c_str(),
+        link_bandwidth, exact_overrides(link_fidelity_overrides).c_str(),
+        exact_overrides(link_bandwidth_overrides).c_str());
+}
+
 std::string
 override_spec(const std::vector<LinkValue>& overrides)
 {
@@ -213,82 +325,6 @@ check_latencies(const SweepRow& row)
         fail("gptp-latency-factor-range", row.gptp_factors->lat_dec_factor);
 }
 
-/** Throw the same UserErrors prepare_cell would for a malformed cell
- * geometry (non-positive counts, shape/node-count mismatch). */
-void
-validate_cell_geometry(const circuits::BenchmarkSpec& spec,
-                       const std::string& shape)
-{
-    if (spec.num_qubits <= 0 || spec.num_nodes <= 0)
-        support::fatal("sweep cell %s: qubit and node counts must be "
-                       "positive", spec.label().c_str());
-    if (!shape.empty()) {
-        const std::vector<int> caps = hw::parse_shape(shape);
-        if (static_cast<int>(caps.size()) != spec.num_nodes)
-            support::fatal("sweep cell %s: shape \"%s\" has %zu nodes, "
-                           "spec says %d", spec.label().c_str(),
-                           shape.c_str(), caps.size(), spec.num_nodes);
-    }
-}
-
-/** Derive the machine for a cell: shape, topology, and link noise. */
-hw::Machine
-machine_for(const circuits::BenchmarkSpec& spec, const std::string& shape,
-            hw::Topology topology, double link_fidelity,
-            double target_fidelity, int link_bandwidth,
-            const std::vector<LinkValue>& link_fidelity_overrides,
-            const std::vector<LinkValue>& link_bandwidth_overrides)
-{
-    hw::Machine m;
-    if (shape.empty()) {
-        m = hw::Machine::homogeneous(
-            spec.num_nodes,
-            (spec.num_qubits + spec.num_nodes - 1) / spec.num_nodes,
-            topology);
-    } else {
-        m = hw::Machine::from_capacities(hw::parse_shape(shape), topology);
-    }
-    m.link.fidelity = link_fidelity;
-    m.link.bandwidth = link_bandwidth;
-    m.purify.target_fidelity = target_fidelity;
-    // Overrides must name physical links of this topology — a spec like
-    // 0-2 on a ring would otherwise be silently inert (nothing routes
-    // over a non-edge) while still coloring the label, CSV, and cache
-    // key. The factory's routing is still min-hop here (overrides are
-    // not applied yet), so hops == 1 identifies exactly the edges; the
-    // range check must come first because the all-to-all fallback
-    // answers 1 for any pair.
-    auto check_link = [&m](const LinkValue& o, const char* kind) {
-        if (o.a >= m.num_nodes || o.b >= m.num_nodes)
-            support::fatal("link %s override %d-%d names a node outside "
-                           "this %d-node machine", kind, o.a, o.b,
-                           m.num_nodes);
-        if (m.hops(o.a, o.b) != 1)
-            support::fatal("link %s override %d-%d: %d-%d is not a "
-                           "physical link of the %s topology", kind, o.a,
-                           o.b, o.a, o.b, hw::topology_name(m.topology));
-    };
-    for (const LinkValue& o : link_fidelity_overrides) {
-        check_link(o, "fidelity");
-        m.link.set_link_fidelity(o.a, o.b, o.value);
-    }
-    for (const LinkValue& o : link_bandwidth_overrides) {
-        check_link(o, "bandwidth");
-        m.link.set_link_bandwidth(o.a, o.b, static_cast<int>(o.value));
-    }
-    if (!link_fidelity_overrides.empty()) {
-        // Per-link fidelity overrides make min-hop routes suboptimal;
-        // rebuild so the router can detour around the degraded fibers.
-        m.build_routing();
-    }
-    // Catch overrides naming nodes this machine does not have here, with
-    // the cell's geometry in hand, rather than deep inside the pipeline.
-    m.validate_noise();
-    // Uniform link fidelities never change the routing already built by
-    // the factory, so no rebuild is needed for the plain axes.
-    return m;
-}
-
 /**
  * What every cell of one plan group shares: the decomposed program and
  * its stats, the qubit mapping and its remote-CX count, and the
@@ -331,11 +367,7 @@ run_planned_cell(const SweepCell& cell, const SharedPlan& shared)
     row.cell = cell;
 
     support::inform("compiling %s...", cell.label().c_str());
-    const hw::Machine machine =
-        machine_for(cell.spec, cell.shape, cell.topology,
-                    cell.link_fidelity, cell.target_fidelity,
-                    cell.link_bandwidth, cell.link_fidelity_overrides,
-                    cell.link_bandwidth_overrides);
+    const hw::Machine machine = cell.machine();
     const hw::QubitMapping& mapping = *shared.mapping;
     mapping.validate(machine);
 
@@ -380,52 +412,34 @@ run_planned_cell(const SweepCell& cell, const SharedPlan& shared)
 
 } // namespace
 
-PreparedCell
-prepare_cell(const circuits::BenchmarkSpec& spec, std::uint64_t seed,
-             const std::string& shape, hw::Topology topology,
-             double link_fidelity, double target_fidelity,
-             int link_bandwidth,
-             const std::vector<LinkValue>& link_fidelity_overrides,
-             const std::vector<LinkValue>& link_bandwidth_overrides,
-             partition::Mapper partitioner)
-{
-    validate_cell_geometry(spec, shape);
-
-    PreparedCell p;
-    {
-        obs::Span span("decompose", spec.label());
-        p.circuit = qir::decompose(circuits::make_benchmark(spec, seed));
-    }
-    p.machine = machine_for(spec, shape, topology, link_fidelity,
-                            target_fidelity, link_bandwidth,
-                            link_fidelity_overrides,
-                            link_bandwidth_overrides);
-    std::optional<partition::InteractionGraph> g;
-    {
-        obs::Span span("graph", spec.label());
-        g = partition::InteractionGraph::from_circuit(p.circuit);
-    }
-    {
-        obs::Span span("partition", spec.label());
-        p.mapping = partition::map_with(partitioner, *g, p.machine);
-    }
-    p.mapping.validate(p.machine);
-    return p;
-}
-
 SweepRow
 run_cell(const SweepCell& cell)
 {
-    const PreparedCell p =
-        prepare_cell(cell.spec, cell.seed, cell.shape, cell.topology,
-                     cell.link_fidelity, cell.target_fidelity,
-                     cell.link_bandwidth, cell.link_fidelity_overrides,
-                     cell.link_bandwidth_overrides, cell.partitioner);
+    validate_cell_geometry(cell);
+    qir::Circuit circuit;
+    {
+        obs::Span span("decompose", cell.spec.label());
+        circuit =
+            qir::decompose(circuits::make_benchmark(cell.spec, cell.seed));
+    }
+    const hw::Machine machine = cell.machine();
+    std::optional<partition::InteractionGraph> g;
+    {
+        obs::Span span("graph", cell.spec.label());
+        g = partition::InteractionGraph::from_circuit(circuit);
+    }
+    hw::QubitMapping mapping;
+    {
+        obs::Span span("partition", cell.spec.label());
+        mapping = partition::map_with(cell.partitioner, *g, machine);
+    }
+    mapping.validate(machine);
+
     SharedPlan shared;
-    shared.circuit = &p.circuit;
-    shared.stats = p.circuit.stats();
-    shared.mapping = &p.mapping;
-    shared.remote_cx = p.mapping.count_remote(p.circuit);
+    shared.circuit = &circuit;
+    shared.stats = circuit.stats();
+    shared.mapping = &mapping;
+    shared.remote_cx = mapping.count_remote(circuit);
     if (!cell.stats_only)
         build_plan(shared, cell.options.opts);
     return run_planned_cell(cell, shared);
@@ -529,8 +543,9 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         const SweepCell& cell = cells[i];
         if (cached[i])
             continue;
+        std::vector<int> capacities;
         try {
-            validate_cell_geometry(cell.spec, cell.shape);
+            capacities = validate_cell_geometry(cell);
         } catch (const std::exception& e) {
             if (opts.rethrow_errors)
                 throw;
@@ -559,41 +574,20 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
         }
 
         // OEE reads only the capacities, so its groups deliberately span
-        // the topology and noise axes (exactly the PR-4 behavior). The
-        // multilevel partitioners read the machine's routing table and
-        // link fidelities, so their groups must split on everything the
-        // derived machine depends on; values are serialized exactly
-        // (%.17g) — the display form %g is not injective.
-        std::string mkey = support::strprintf(
-            "%s|%s|%s", pkey.c_str(), cell.shape.c_str(),
-            partition::mapper_name(cell.partitioner));
-        if (cell.partitioner != partition::Mapper::Oee) {
-            auto exact_overrides = [](const std::vector<LinkValue>& list) {
-                std::string out;
-                for (const LinkValue& o : list)
-                    out += support::strprintf("%d-%d:%.17g,", o.a, o.b,
-                                              o.value);
-                return out;
-            };
-            mkey += support::strprintf(
-                "|%s|%.17g|%.17g|%d|%s|%s",
-                hw::topology_name(cell.topology), cell.link_fidelity,
-                cell.target_fidelity, cell.link_bandwidth,
-                exact_overrides(cell.link_fidelity_overrides).c_str(),
-                exact_overrides(cell.link_bandwidth_overrides).c_str());
-        }
+        // the topology and noise axes. The multilevel partitioners read
+        // the machine's routing table and link fidelities, so their
+        // groups split on every machine field, keyed exactly.
+        const std::string mkey =
+            pkey + "|" + partition::mapper_name(cell.partitioner) + "|" +
+            (cell.partitioner == partition::Mapper::Oee
+                 ? cell.shape
+                 : cell.machine_key());
         auto [mit, mnew] = mapping_index.emplace(mkey, mappings.size());
         if (mnew) {
             Mapping mp;
             mp.program = pit->second;
             mp.cell = &cell;
-            mp.capacities =
-                cell.shape.empty()
-                    ? std::vector<int>(
-                          static_cast<std::size_t>(cell.spec.num_nodes),
-                          (cell.spec.num_qubits + cell.spec.num_nodes - 1) /
-                              cell.spec.num_nodes)
-                    : hw::parse_shape(cell.shape);
+            mp.capacities = std::move(capacities);
             mappings.push_back(std::move(mp));
         }
         // A plan group is the mapping group plus the options pass::plan
@@ -734,14 +728,9 @@ run_sweep(const std::vector<SweepCell>& cells, const SweepOptions& opts)
                     mp.map = hw::QubitMapping(partition::oee_partition(
                         *prog.graph, mp.capacities));
                 } else {
-                    const hw::Machine machine = machine_for(
-                        mp.cell->spec, mp.cell->shape, mp.cell->topology,
-                        mp.cell->link_fidelity, mp.cell->target_fidelity,
-                        mp.cell->link_bandwidth,
-                        mp.cell->link_fidelity_overrides,
-                        mp.cell->link_bandwidth_overrides);
                     mp.map = partition::map_with(mp.cell->partitioner,
-                                                 *prog.graph, machine);
+                                                 *prog.graph,
+                                                 mp.cell->machine());
                 }
                 span.finish();
                 mp.remote_cx = mp.map->count_remote(prog.circuit);
@@ -889,6 +878,18 @@ split_list(const std::string& s, char sep)
     return out;
 }
 
+/** The one value of a single-valued flag's parsed list. */
+template <typename T>
+T
+only_value(const std::vector<T>& values, const std::string& list,
+           const char* flag)
+{
+    if (values.size() != 1)
+        support::fatal("%s: \"%s\" lists %zu values; the flag takes one",
+                       flag, list.c_str(), values.size());
+    return values.front();
+}
+
 } // namespace
 
 std::vector<int>
@@ -908,6 +909,14 @@ parse_int_list(const std::string& list, const char* flag, long min_value,
     if (out.empty())
         support::fatal("%s: empty list", flag);
     return out;
+}
+
+int
+parse_int(const std::string& value, const char* flag, long min_value,
+          long max_value)
+{
+    return only_value(parse_int_list(value, flag, min_value, max_value),
+                      value, flag);
 }
 
 std::vector<double>
@@ -936,6 +945,14 @@ parse_fidelity_list(const std::string& list, const char* flag,
     if (out.empty())
         support::fatal("%s: empty list", flag);
     return out;
+}
+
+double
+parse_fidelity(const std::string& value, const char* flag,
+               bool zero_disables)
+{
+    return only_value(parse_fidelity_list(value, flag, zero_disables), value,
+                      flag);
 }
 
 std::vector<hw::Topology>

@@ -18,6 +18,7 @@
 #include "autocomm/pipeline.hpp"
 #include "baseline/ferrari.hpp"
 #include "circuits/library.hpp"
+#include "hw/machine.hpp"
 #include "partition/mapper.hpp"
 #include "support/csv.hpp"
 
@@ -112,6 +113,21 @@ struct SweepCell
      * `--partitioner oee` rows stay byte-identical to pre-partitioner
      * CSVs while multilevel rows remain distinguishable. */
     std::string options_label() const;
+
+    /**
+     * The cell's machine: spec.num_nodes nodes of ceil(qubits/nodes)
+     * data qubits (or the explicit shape's capacities) on the cell's
+     * topology, with its link noise model, per-link overrides, and
+     * routing. Throws support::UserError for a malformed geometry or an
+     * override that names no physical link of the topology.
+     */
+    hw::Machine machine() const;
+
+    /** Exact text of the machine fields
+     * ("shape=...;topology=...;...;bandwidth_overrides=..."): doubles
+     * printed %.17g, since the display form %g is not injective. The
+     * machine part of cache::cell_key's canonical string. */
+    std::string machine_key() const;
 };
 
 /** Declarative cartesian sweep grid. */
@@ -160,32 +176,6 @@ std::vector<SweepCell> cells_from_specs(
     bool with_baseline = false, bool stats_only = false,
     bool with_gptp = false);
 
-/** A prepared instance: decomposed circuit, derived machine, OEE map. */
-struct PreparedCell
-{
-    qir::Circuit circuit;
-    hw::Machine machine{};
-    hw::QubitMapping mapping;
-};
-
-/**
- * The shared preparation recipe (also used by the bench harness):
- * generate + decompose the circuit, derive the machine (ceil-divided
- * qubits per node, or the explicit @p shape with per-node capacities,
- * plus the link noise model), build the topology's routing table, map
- * with the selected capacity-aware partitioner (OEE by default),
- * validate.
- */
-PreparedCell prepare_cell(
-    const circuits::BenchmarkSpec& spec, std::uint64_t seed = 2022,
-    const std::string& shape = {},
-    hw::Topology topology = hw::Topology::AllToAll,
-    double link_fidelity = 1.0, double target_fidelity = 0.0,
-    int link_bandwidth = 0,
-    const std::vector<LinkValue>& link_fidelity_overrides = {},
-    const std::vector<LinkValue>& link_bandwidth_overrides = {},
-    partition::Mapper partitioner = partition::Mapper::Oee);
-
 /** Metrics row for one compiled cell (Table 2 + Table 3 columns). */
 struct SweepRow
 {
@@ -228,9 +218,11 @@ struct SweepOptions
 };
 
 /**
- * Compile one cell: generate + decompose the circuit, derive the machine,
- * map with OEE, plan, then schedule the plan through the same per-cell
- * path run_sweep uses (and optionally the baselines).
+ * Compile one cell directly, with no sharing: generate + decompose the
+ * circuit, derive the machine, map with the cell's partitioner, plan,
+ * then schedule the plan through the same per-cell path run_sweep uses
+ * (and optionally the baselines). The reference run_sweep's memoized
+ * rows are tested against.
  */
 SweepRow run_cell(const SweepCell& cell);
 
@@ -277,6 +269,11 @@ std::vector<int> parse_int_list(const std::string& list, const char* flag,
                                 long min_value = 1,
                                 long max_value = 1'000'000);
 
+/** parse_int_list for a single-valued flag: a list of more than one
+ * value is rejected rather than silently cut to its first. */
+int parse_int(const std::string& value, const char* flag,
+              long min_value = 1, long max_value = 1'000'000);
+
 /**
  * Parse a comma list of fidelities in (0, 1]. When @p zero_disables, a
  * literal 0 is additionally allowed (the "noise/purification off" axis
@@ -285,6 +282,10 @@ std::vector<int> parse_int_list(const std::string& list, const char* flag,
 std::vector<double> parse_fidelity_list(const std::string& list,
                                         const char* flag,
                                         bool zero_disables = false);
+
+/** parse_fidelity_list for a single-valued flag (see parse_int). */
+double parse_fidelity(const std::string& value, const char* flag,
+                      bool zero_disables = false);
 
 /** Parse a comma list of topology names. */
 std::vector<hw::Topology> parse_topology_list(const std::string& list,

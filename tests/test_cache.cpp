@@ -154,6 +154,53 @@ TEST(CacheKey, NearbyFidelityDoublesKeyDifferently)
     EXPECT_NE(cache::cell_key(a).hex(), cache::cell_key(b).hex());
 }
 
+TEST(CacheKey, CanonicalStringsArePinned)
+{
+    // The canonical text is every stored entry's identity: a moved byte
+    // turns the whole store into misses without a salt bump, so it may
+    // change only as a deliberate edit of these strings.
+    SweepCell plain;
+    plain.spec = {circuits::Family::QFT, 16, 4};
+    EXPECT_EQ(cache::cell_key(plain, "s3").canonical,
+              "autocomm-cell-v2;salt=s3;family=QFT;qubits=16;nodes=4;"
+              "seed=2022;shape=;topology=all_to_all;link_fidelity=1;"
+              "target_fidelity=0;link_bandwidth=0;fidelity_overrides=;"
+              "bandwidth_overrides=;partitioner=oee;options=default{"
+              "use_commutation=1,absorb_local_gates=1,comm_capacity=2,"
+              "allow_tp=1,epr_prefetch=1,tp_fusion=1};baseline=0;gptp=0;"
+              "stats_only=0");
+    EXPECT_EQ(cache::cell_key(plain, "s3").hex(),
+              "a9d1921b9b72c6bef04f4669ae40f0b5");
+
+    SweepCell full;
+    full.spec = {circuits::Family::MCTR, 24, 4};
+    full.seed = 7;
+    full.shape = "2x8,2x4";
+    full.topology = hw::Topology::Ring;
+    full.link_fidelity = 0.95;
+    full.target_fidelity = 0.99;
+    full.link_bandwidth = 2;
+    full.link_fidelity_overrides = {{0, 1, 0.9}, {2, 3, 0.92}};
+    full.link_bandwidth_overrides = {{1, 2, 3.0}};
+    full.partitioner = partition::Mapper::Multilevel;
+    full.options = *driver::find_option_set("sparse");
+    full.with_baseline = true;
+    full.with_gptp = true;
+    EXPECT_EQ(cache::cell_key(full, "s3").canonical,
+              "autocomm-cell-v2;salt=s3;family=MCTR;qubits=24;nodes=4;"
+              "seed=7;shape=2x8,2x4;topology=ring;"
+              "link_fidelity=0.94999999999999996;"
+              "target_fidelity=0.98999999999999999;link_bandwidth=2;"
+              "fidelity_overrides=0-1:0.90000000000000002,"
+              "2-3:0.92000000000000004;bandwidth_overrides=1-2:3;"
+              "partitioner=multilevel;options=sparse{use_commutation=0,"
+              "absorb_local_gates=1,comm_capacity=2,allow_tp=1,"
+              "epr_prefetch=1,tp_fusion=1};baseline=1;gptp=1;"
+              "stats_only=0");
+    EXPECT_EQ(cache::cell_key(full, "s3").hex(),
+              "4ac9f4fc6a0a6317515622abdd313a8c");
+}
+
 // ----------------------------------------------------------------- json
 
 TEST(CacheJson, DumpParseIsAFixedPoint)

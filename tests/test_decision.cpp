@@ -65,6 +65,36 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
+// The nothrow forms too (std::stable_sort takes its buffer through
+// them): otherwise they come from the runtime — under ASan, its own
+// allocator — while their memory is returned through the malloc-backed
+// deletes here.
+void*
+operator new(std::size_t n, const std::nothrow_t&) noexcept
+{
+    ++g_allocs;
+    return std::malloc(n);
+}
+
+void*
+operator new[](std::size_t n, const std::nothrow_t&) noexcept
+{
+    ++g_allocs;
+    return std::malloc(n);
+}
+
+void
+operator delete(void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
 void
 operator delete(void* p) noexcept
 {

@@ -638,6 +638,18 @@ TEST(SweepParse, IntListEchoesTheOffendingToken)
               (std::vector<int>{0, 3}));
     EXPECT_THROW(driver::parse_int_list("", "--nodes"),
                  support::UserError);
+
+    // A single-valued flag takes one value and never silently drops the
+    // rest of a list.
+    EXPECT_EQ(driver::parse_int("8", "--threads"), 8);
+    try {
+        driver::parse_int("4,8", "--threads");
+        FAIL() << "expected UserError";
+    } catch (const support::UserError& e) {
+        EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("4,8"), std::string::npos);
+    }
+    EXPECT_THROW(driver::parse_int("0", "--threads"), support::UserError);
 }
 
 TEST(SweepParse, FidelityListValidatesTheRange)
@@ -663,6 +675,16 @@ TEST(SweepParse, FidelityListValidatesTheRange)
     EXPECT_THROW(driver::parse_fidelity_list("1", "--target-fidelity",
                                              /*zero_disables=*/true),
                  support::UserError);
+
+    EXPECT_EQ(driver::parse_fidelity("0", "--target", /*zero_disables=*/true),
+              0.0);
+    try {
+        driver::parse_fidelity("0.9,0.95", "--link-fidelity");
+        FAIL() << "expected UserError";
+    } catch (const support::UserError& e) {
+        EXPECT_NE(std::string(e.what()).find("--link-fidelity"),
+                  std::string::npos);
+    }
 }
 
 TEST(SweepParse, TopologyListEchoesTheOffendingToken)
