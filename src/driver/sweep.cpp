@@ -948,11 +948,9 @@ parse_fidelity_list(const std::string& list, const char* flag,
 }
 
 double
-parse_fidelity(const std::string& value, const char* flag,
-               bool zero_disables)
+parse_fidelity(const std::string& value, const char* flag)
 {
-    return only_value(parse_fidelity_list(value, flag, zero_disables), value,
-                      flag);
+    return only_value(parse_fidelity_list(value, flag), value, flag);
 }
 
 std::vector<hw::Topology>

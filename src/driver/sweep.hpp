@@ -284,8 +284,7 @@ std::vector<double> parse_fidelity_list(const std::string& list,
                                         bool zero_disables = false);
 
 /** parse_fidelity_list for a single-valued flag (see parse_int). */
-double parse_fidelity(const std::string& value, const char* flag,
-                      bool zero_disables = false);
+double parse_fidelity(const std::string& value, const char* flag);
 
 /** Parse a comma list of topology names. */
 std::vector<hw::Topology> parse_topology_list(const std::string& list,

@@ -676,8 +676,7 @@ TEST(SweepParse, FidelityListValidatesTheRange)
                                              /*zero_disables=*/true),
                  support::UserError);
 
-    EXPECT_EQ(driver::parse_fidelity("0", "--target", /*zero_disables=*/true),
-              0.0);
+    EXPECT_EQ(driver::parse_fidelity("0.95", "--link-fidelity"), 0.95);
     try {
         driver::parse_fidelity("0.9,0.95", "--link-fidelity");
         FAIL() << "expected UserError";
